@@ -53,6 +53,7 @@ from .positivity import (
 )
 from .reconstruction import (
     CONTRACTION_TOL,
+    OperatorBoundError,
     ReflectionPositivityError,
     RepresentabilityError,
     ShiftRangeError,
@@ -93,6 +94,7 @@ MATH_ERRORS = (
     ReflectionPositivityError,
     RepresentabilityError,
     SpectrumError,
+    OperatorBoundError,
     CovarianceError,
     HermiticityError,
     liealg.StructureError,
@@ -149,8 +151,6 @@ class RunConfig:
             raise ConfigError("families must be at least 1")
         if not 1 <= self.family_size <= 16:
             raise ConfigError("family_size must be between 1 and 16")
-        if len(self.times) != len(self.degrees):
-            raise ConfigError("times and degrees must have equal length")
         if any(d < 1 for d in self.degrees):
             raise ConfigError("degrees must be positive integers")
         if self.tolerance is not None and self.tolerance <= 0.0:
@@ -467,6 +467,8 @@ def cmd_npoint(cfg: RunConfig, quiet: bool = False) -> int:
             "the operator-side identity is exact only for the Markov instance; "
             "run instance ou, or compare Wick and Monte Carlo arms directly"
         )
+    if len(cfg.times) != len(cfg.degrees):
+        raise ConfigError("times and degrees must have equal length")
     measure = build_measure(cfg)
     lattice = measure.lattice
     t0 = float(lattice.times[lattice.positive_indices[0]])

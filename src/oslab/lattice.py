@@ -26,7 +26,9 @@ The generating functional of a measure is
     S(f) = exp(-1/2 B(f,f)),   B(f,g) = spacing^2 * sum_jk f_j C_jk g_k,
 
 with B extended complex-bilinearly (no conjugation).  B(f,g) is the
-covariance of the smeared fields q(f) = spacing * sum_j f_j q(t_j).
+covariance of the smeared fields q(f) = spacing * sum_j f_j q(t_j).  A
+whole gram of values S(a_k - b_l) therefore follows from one product of
+the stacked coefficients with C (generating_functional_gram).
 
 Sampling uses a Philox counter-based generator keyed by the seed.  Each
 standard normal consumes exactly one 64-bit draw (uniform bits mapped
@@ -38,7 +40,6 @@ chooses to parallelize over paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -281,13 +282,38 @@ def covariance_bilinear(
         if func.lattice != measure.lattice:
             raise LatticeMismatchError("test function lattice does not match measure")
     h = measure.lattice.spacing
-    return complex(h * h * (f.coeffs @ (measure.covariance @ g.coeffs)))
+    C, c = measure.covariance, g.coeffs
+    # real and imaginary parts separately: C @ complex would copy C to complex
+    Cg = C @ c.real + 1j * (C @ c.imag)
+    return complex(h * h * (f.coeffs @ Cg))
 
 
 def generating_functional(measure: GaussianEuclideanMeasure, f: TestFunction) -> complex:
     """S(f) = exp(-1/2 B(f,f)).  Equals E[exp(i q(f))] for the measure."""
     b = covariance_bilinear(measure, f, f)
     return complex(np.exp(-0.5 * b))
+
+
+def generating_functional_gram(
+    measure: GaussianEuclideanMeasure, A: np.ndarray, B: np.ndarray
+) -> np.ndarray:
+    """gram[k, l] = S(a_k - b_l) for the coefficient rows a_k of A and b_l of B.
+
+    Bilinearity gives S(a - b) = exp(-B(a,a)/2 + B(a,b) - B(b,b)/2), so the
+    whole gram follows from one product of the stacked rows with C.  The
+    real and imaginary parts are multiplied by the real covariance
+    separately, and real rows give a real gram.  Rows must already be
+    checked to live on the measure's lattice.
+    """
+    K = A.shape[0]
+    P = np.vstack([A, B])
+    PC = P.real @ measure.covariance
+    if np.iscomplexobj(P):
+        PC = PC + 1j * (P.imag @ measure.covariance)
+    h = measure.lattice.spacing
+    M = h * h * (PC @ P.T)
+    d = np.diagonal(M)
+    return np.exp(M[:K, K:] - 0.5 * d[:K, None] - 0.5 * d[None, K:])
 
 
 def _covariance_factor(measure: GaussianEuclideanMeasure) -> np.ndarray:
@@ -425,6 +451,3 @@ def measure_from_text(text: str) -> GaussianEuclideanMeasure:
 
 def write_measure(path: str, measure: GaussianEuclideanMeasure, **kw) -> None:
     atomic_write(path, measure_to_text(measure, **kw))
-
-
-GeneratingFunctional = Callable[[TestFunction], complex]

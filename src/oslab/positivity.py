@@ -8,6 +8,15 @@ Two inequalities are certified over finite families of test functions:
       gram[k][l] = S(reflect(f_k) - f_l),  f_k real with positive-time
       support (the in_dplus cone).
 
+For a Gaussian measure, S(a - b) = exp(-B(a,a)/2 + B(a,b) - B(b,b)/2) with
+B the bilinear covariance form, so when the functional handed in is the
+measure's own bound generating_functional, the whole Gram is built in
+closed form from one product of the family matrix with the covariance
+(lattice.generating_functional_gram).  Any other callable, such as a
+deliberately corrupted functional, is evaluated once per Gram entry.
+Both routes raise the same lattice and cone errors and feed the same
+checks below.
+
 A certificate records the Gram, its minimum eigenvalue from a Hermitian
 eigensolver, the tolerance in effect, the verdict, and, when the Gram is
 indefinite, the minimizing eigenvector as an explicit witness.  Sampled
@@ -27,6 +36,7 @@ from .lattice import (
     TestFunction,
     TimeLattice,
     cosine_damped_covariance,
+    generating_functional_gram,
     sample_path_matrix,
 )
 from .moments import isserlis_moment
@@ -100,6 +110,25 @@ def project_dplus(f: TestFunction) -> TestFunction:
     return TestFunction(f.lattice, c)
 
 
+def _own_measure(functional) -> GaussianEuclideanMeasure | None:
+    """The measure whose bound generating_functional this is, else None."""
+    if getattr(functional, "__func__", None) is GaussianEuclideanMeasure.generating_functional:
+        return functional.__self__
+    return None
+
+
+def _family_rows(
+    measure: GaussianEuclideanMeasure, functions: Sequence[TestFunction]
+) -> np.ndarray:
+    """Stacked coefficients, with the lattice errors the entrywise loop raises."""
+    lattice = functions[0].lattice
+    if lattice != measure.lattice:
+        raise LatticeMismatchError("test function lattice does not match measure")
+    if any(f.lattice != lattice for f in functions):
+        raise LatticeMismatchError("test functions live on different lattices")
+    return np.array([f.coeffs for f in functions])
+
+
 def _certify(
     kind: str,
     gram: np.ndarray,
@@ -141,6 +170,10 @@ def pd_gram_certificate(
     """Certify gram[k][l] = S(f_k - conj(f_l)) over a complex family."""
     if len(functions) == 0:
         raise ValueError("need at least one test function")
+    measure = _own_measure(functional)
+    if measure is not None:
+        F = _family_rows(measure, functions)
+        return _certify(KIND_PD, generating_functional_gram(measure, F, F.conj()), rtol)
     K = len(functions)
     gram = np.zeros((K, K), dtype=complex)
     conjugates = [f.conjugate() for f in functions]
@@ -164,6 +197,10 @@ def rp_gram_certificate(
                 "function %d is not in the positive-time cone "
                 "(must be real and vanish for t < 0)" % i
             )
+    measure = _own_measure(functional)
+    if measure is not None:
+        F = _family_rows(measure, functions).real
+        return _certify(KIND_RP, generating_functional_gram(measure, F[:, ::-1], F), rtol)
     K = len(functions)
     gram = np.zeros((K, K), dtype=complex)
     reflected = [reflect(f) for f in functions]

@@ -76,6 +76,11 @@ class SpectrumError(ValueError):
     """Transfer matrix is not positive definite; no Hamiltonian logarithm."""
 
 
+class OperatorBoundError(ValueError):
+    """The reflected Gram or the transfer matrix broke its symmetry or
+    contraction bound."""
+
+
 @dataclass(frozen=True)
 class ObservableFunctional:
     """One basis functional: a field monomial or an exponential.
@@ -301,7 +306,7 @@ def build_physical_space(
     scale = float(np.max(np.abs(G))) or 1.0
     asym = float(np.max(np.abs(G - G.conj().T)))
     if asym > GRAM_SYMMETRY_RTOL * scale:
-        raise ValueError("reflected Gram asymmetry %.3e beyond tolerance" % asym)
+        raise OperatorBoundError("reflected Gram asymmetry %.3e beyond tolerance" % asym)
     H = 0.5 * (G + G.conj().T)
     w, V = np.linalg.eigh(H)
     lam_max = float(w[-1]) if len(w) else 0.0
@@ -416,11 +421,11 @@ def transfer_operator(
         asym = float(np.max(np.abs(T - T.conj().T)))
         scale = float(np.max(np.abs(T))) or 1.0
         if asym > 1.0e-8 * scale:
-            raise ValueError("transfer matrix asymmetry %.3e beyond tolerance" % asym)
+            raise OperatorBoundError("transfer matrix asymmetry %.3e beyond tolerance" % asym)
         T = 0.5 * (T + T.conj().T)
     norm = float(np.linalg.norm(T, 2))
     if norm > 1.0 + contraction_tol:
-        raise ValueError(
+        raise OperatorBoundError(
             "transfer operator norm %.17g exceeds 1 + %.1e" % (norm, contraction_tol)
         )
     return T

@@ -144,6 +144,29 @@ def test_reconstruct_off_grid_step_is_usage_error(tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_reconstruct_transfer_norm_failure_is_check_failure(tmp_path, capsys):
+    # at this small mass the degree-4 transfer compresses to a norm just
+    # above 1: a mathematical failure on valid input, not a usage error
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text("instance: ou\nmax_degree: 4\nmass: 0.05\n")
+    rc, _ = run(tmp_path, "reconstruct", "--config", str(cfg))
+    assert rc == EXIT_CHECK_FAILED
+    assert "transfer operator norm" in capsys.readouterr().err
+
+
+def test_reconstruct_times_without_degrees(tmp_path):
+    cfg = tmp_path / "times.cfg"
+    cfg.write_text("times: 0.125 0.375\n")
+    rc, out = run(tmp_path, "reconstruct", "--config", str(cfg))
+    assert rc == EXIT_OK
+    assert "basis_times: 0.125 0.375" in (out / "reconstruct_report.txt").read_text()
+
+
+def test_npoint_mismatched_times_and_degrees_is_usage_error(tmp_path):
+    rc, _ = run(tmp_path, "npoint", "--times", "0.125 0.375", "--degrees", "1")
+    assert rc == EXIT_USAGE
+
+
 def test_npoint_default_two_cases(tmp_path):
     rc, out = run(tmp_path, "npoint")
     assert rc == EXIT_OK

@@ -1,6 +1,8 @@
 """Positive-definiteness and reflection-positivity certificates."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oslab.lattice import (
@@ -204,6 +206,87 @@ def test_non_rp_witness_is_reproducible():
     assert np.array_equal(a.witness, b.witness)
     quad = np.real(np.conj(a.witness) @ a.gram @ a.witness)
     assert abs(quad - a.min_eigenvalue) < 1.0e-10 * max(1.0, abs(a.min_eigenvalue))
+
+
+# -- closed-form grams against the entrywise loop ------------------------------
+
+KERNELS = {
+    "ou": lambda lat: ou_covariance(1.0, lat),
+    "free-field": lambda lat: free_field_covariance(1.0, lat),
+    "cosine": lambda lat: cosine_damped_covariance(1.0, 4.0, lat),
+}
+
+
+def parity_families(lattice, rng):
+    """A random family scaled so that B(f, f) stays of order 0.1 at every
+    size, and the eight spikes nearest t = 0 at amplitude 2.  The cosine
+    kernel's reflection form rejects both."""
+    scale = 2.0 / np.sqrt(lattice.n_points)
+    spikes = delta_family(lattice, list(lattice.positive_indices[:8]), 2.0)
+    return [
+        ("pd", random_complex_family(lattice, rng, 6, scale)),
+        ("rp", random_dplus_family(lattice, rng, 6, scale)),
+        ("pd", spikes),
+        ("rp", spikes),
+    ]
+
+
+@pytest.mark.parametrize("n", [16, 512, 1024])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_closed_form_gram_matches_entrywise_loop(kernel, n):
+    lattice = TimeLattice(n, 0.25)
+    m = KERNELS[kernel](lattice)
+    rng = np.random.default_rng(SEED + n)
+    verdicts = []
+    for kind, fam in parity_families(lattice, rng):
+        certify = pd_gram_certificate if kind == "pd" else rp_gram_certificate
+        fast = certify(m.generating_functional, fam)
+        slow = certify(lambda f: m.generating_functional(f), fam)
+        assert fast.gram.dtype == slow.gram.dtype
+        scale = np.max(np.abs(slow.gram))
+        assert np.max(np.abs(fast.gram - slow.gram)) <= 1.0e-12 * scale
+        assert fast.verdict == slow.verdict
+        verdicts.append(fast.verdict)
+    rp = "indefinite" if kernel == "cosine" else "positive"
+    assert verdicts == ["positive", rp, "positive", rp]
+
+
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_both_gram_paths_raise_the_same_errors(closed_form):
+    m = ou_covariance(1.0, LAT)
+    functional = m.generating_functional if closed_form else (
+        lambda f: m.generating_functional(f))
+    other = TimeLattice(8, 0.25)
+    stray = delta_family(other, [6], 0.5)
+    home = delta_family(LAT, [9, 10], 0.5)
+    for certify in (pd_gram_certificate, rp_gram_certificate):
+        with pytest.raises(LatticeMismatchError, match="does not match measure"):
+            certify(functional, stray + home)
+        with pytest.raises(LatticeMismatchError, match="different lattices"):
+            certify(functional, home + stray)
+    c = np.zeros(16)
+    c[2] = 1.0
+    with pytest.raises(DplusMembershipError):
+        rp_gram_certificate(functional, home + [TestFunction(LAT, c)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from(sorted(KERNELS)),
+    size=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.01, 1.0),
+)
+def test_closed_form_grams_are_hermitian(kernel, size, seed, scale):
+    m = KERNELS[kernel](LAT)
+    rng = np.random.default_rng(seed)
+    pd = pd_gram_certificate(
+        m.generating_functional, random_complex_family(LAT, rng, size, scale)).gram
+    assert np.max(np.abs(pd - pd.conj().T)) <= 1.0e-12 * np.max(np.abs(pd))
+    rp = rp_gram_certificate(
+        m.generating_functional, random_dplus_family(LAT, rng, size, scale)).gram
+    assert not np.iscomplexobj(rp)
+    assert np.max(np.abs(rp - rp.T)) <= 1.0e-12 * np.max(np.abs(rp))
 
 
 def test_certificate_verdict_matches_eigenvalue_rule():
