@@ -123,13 +123,19 @@ def _site_distances(lattice: TimeLattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianEuclideanMeasure:
-    """Centered Gaussian measure on lattice paths, fixed by its covariance."""
+    """Centered Gaussian measure on lattice paths, fixed by its covariance.
+
+    The covariance is stored read-only, so moment_memo, the memo of
+    source-free Isserlis moments keyed by sorted site tuple that every
+    pairing over this measure shares, never goes stale.
+    """
 
     lattice: TimeLattice
     covariance: np.ndarray
     mass: float
     kernel: str = KERNEL_CUSTOM
     params: dict = field(default_factory=dict)
+    moment_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.mass > 0.0):
@@ -148,6 +154,7 @@ class GaussianEuclideanMeasure:
                 "covariance asymmetry %.3e exceeds %.1e relative" % (asym, SYMMETRY_RTOL)
             )
         C = 0.5 * (C + C.T)
+        C.setflags(write=False)
         object.__setattr__(self, "covariance", C)
         lam_min, lam_max = self._eig_range()
         if lam_min < -PSD_RTOL * max(lam_max, abs(lam_min)):

@@ -1,84 +1,81 @@
-"""Exact moments of centered Gaussian vectors.
+"""Exact moments of Gaussian vectors, by one Isserlis recursion.
 
-isserlis_moment sums over perfect matchings; the optional source variant
-handles a polynomial times exp(i*Y) for Y in the Gaussian span, via the
-complex shift E[F(X) e^{iY}] = E[e^{iY}] E[F(X + i Cov(X,Y))].
+Every moment comes from the non-centred recursion over a sorted site tuple
+
+    m(t) = mu[first] * m(rest) + sum_p cov[first, p] * m(rest - p),
+
+with m(()) = 1.  Centered moments (isserlis_moment) skip the mean term, so
+the sum runs over perfect matchings exactly as a plain Isserlis expansion
+would.  A polynomial times exp(i*Y), for Y = sum_j s_j x_j in the Gaussian
+span, uses the complex shift
+
+    E[F(x) e^{iY}] = E[e^{iY}] E[F(x + mu)],   mu = i Cov(x, Y) = i C s,
+
+which is the same recursion with that imaginary mean.
+
+Values are memoized by sorted site tuple.  A centered moment depends on the
+covariance alone, so callers may pass a memo that lives as long as the
+covariance does: GaussianEuclideanMeasure.moment_memo is one per measure,
+whose covariance is read-only, and every source-free moment a job takes of
+that measure shares it.  A sourced moment depends on the source too and
+keeps a memo of its own for the one call.
 """
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
 
-def isserlis_moment(cov: np.ndarray, indices) -> float:
+def _moment(cov: np.ndarray, mu, memo: dict, t: tuple):
+    """m(t) by the recursion above; mu=None is the centered case."""
+    if not t:
+        return 1.0
+    got = memo.get(t)
+    if got is not None:
+        return got
+    first, rest = t[0], t[1:]
+    row = cov[first]
+    total = 0.0 if mu is None else mu[first] * _moment(cov, mu, memo, rest)
+    prev = None
+    for pos in range(len(rest)):
+        # t is sorted, so a repeated site follows its twin and pairs to the
+        # same term; it is added again rather than counted, keeping the sum
+        # order of one term per matching
+        if rest[pos] != prev:
+            prev = rest[pos]
+            term = row[prev] * _moment(cov, mu, memo, rest[:pos] + rest[pos + 1 :])
+        total += term
+    memo[t] = total
+    return total
+
+
+def isserlis_moment(cov: np.ndarray, indices, *, memo: dict | None = None) -> float:
     """E[x_{i1} x_{i2} ... x_{ik}] for a centered Gaussian with covariance cov.
 
     indices may repeat; odd k gives 0.  Memoized over sub-multisets, which
-    keeps repeated-site products (the common case) cheap.
+    keeps repeated-site products (the common case) cheap.  memo, when given,
+    must belong to this covariance alone; it is read and filled, so calls
+    sharing it reuse each other's sub-moments, with bitwise the values a
+    fresh memo gives.
     """
-    idx = tuple(sorted(int(i) for i in indices))
+    idx = tuple(sorted(map(int, indices)))
     if len(idx) % 2 == 1:
         return 0.0
-    memo: dict[tuple, float] = {}
-
-    def rec(t: tuple) -> float:
-        if not t:
-            return 1.0
-        got = memo.get(t)
-        if got is not None:
-            return got
-        first, rest = t[0], t[1:]
-        total = 0.0
-        for pos in range(len(rest)):
-            # pairing duplicates collapse via the memo, not by counting
-            total += cov[first, rest[pos]] * rec(rest[:pos] + rest[pos + 1 :])
-        memo[t] = total
-        return total
-
-    return rec(idx)
+    return _moment(cov, None, {} if memo is None else memo, idx)
 
 
 def gaussian_monomial_with_source(
-    cov: np.ndarray, indices, source: np.ndarray | None = None
+    cov: np.ndarray, indices, source: np.ndarray | None = None, *, memo: dict | None = None
 ) -> complex:
     """E[x_{i1}...x_{ik} * exp(i sum_j source_j x_j)], exact.
 
     source is a coefficient vector over the same coordinates as cov (may be
-    complex); source=None reduces to the plain Isserlis moment.
+    complex); source=None reduces to the plain Isserlis moment, which uses
+    memo as isserlis_moment does.  A sourced moment ignores memo.
     """
-    idx = tuple(int(i) for i in indices)
     if source is None:
-        return complex(isserlis_moment(cov, idx))
+        return complex(isserlis_moment(cov, indices, memo=memo))
+    idx = tuple(sorted(map(int, indices)))
     s = np.asarray(source, dtype=complex)
-    var = complex(s @ (cov @ s))
-    prefactor = np.exp(-0.5 * var)
     shift = cov @ s  # Cov(x_j, Y) for Y = sum s_j x_j
-    memo: dict[tuple, float] = {}
-
-    def even_moment(t: tuple) -> float:
-        if not t:
-            return 1.0
-        if len(t) % 2 == 1:
-            return 0.0
-        got = memo.get(t)
-        if got is not None:
-            return got
-        first, rest = t[0], t[1:]
-        total = 0.0
-        for pos in range(len(rest)):
-            total += cov[first, rest[pos]] * even_moment(rest[:pos] + rest[pos + 1 :])
-        memo[t] = total
-        return total
-
-    total = 0.0 + 0.0j
-    positions = range(len(idx))
-    for r in range(len(idx) + 1):
-        for taken in combinations(positions, r):
-            taken_set = set(taken)
-            mean_part = 1.0 + 0.0j
-            for p in taken:
-                mean_part *= 1j * shift[idx[p]]
-            rest = tuple(sorted(idx[p] for p in positions if p not in taken_set))
-            total += mean_part * even_moment(rest)
-    return complex(prefactor * total)
+    prefactor = np.exp(-0.5 * complex(s @ shift))
+    return complex(prefactor * _moment(cov, 1j * shift, {}, idx))

@@ -302,7 +302,7 @@ def exact_sampled_gram_entry(
         idx.extend([lattice.index_of_time(-t)] * POLYNOMIAL_DEGREE[name])
     for t, name in b.factors:
         idx.extend([lattice.index_of_time(t)] * POLYNOMIAL_DEGREE[name])
-    return isserlis_moment(measure.covariance, idx)
+    return isserlis_moment(measure.covariance, idx, memo=measure.moment_memo)
 
 
 # -- negative-control scan ----------------------------------------------------

@@ -36,7 +36,7 @@ reproduce the Euclidean moment E[A_1(q(t_1)) ... A_n(q(t_n))] to rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -186,52 +186,59 @@ def _validate_functional(lattice: TimeLattice, f: ObservableFunctional) -> None:
             raise LatticeMismatchError("functional lattice does not match measure")
 
 
+def _sites(lattice: TimeLattice, f: ObservableFunctional, reflect: bool = False) -> tuple:
+    """Lattice sites of f's field factors, each repeated by its degree, at
+    reflected times when reflect is set; () for an exponential."""
+    if f.kind != KIND_MONOMIAL:
+        return ()
+    sites: list[int] = []
+    for t, d in zip(f.times, f.degrees):
+        sites.extend([lattice.index_of_time(-t if reflect else t)] * int(d))
+    return tuple(sites)
+
+
 def _pairing(
     measure: GaussianEuclideanMeasure,
     left: ObservableFunctional,
+    left_sites: tuple,
     right: ObservableFunctional,
-    reflect_left: bool = True,
+    right_sites: tuple,
 ) -> complex:
     """<left, right> = E[conj(left at reflected times) * right], exact.
 
-    With reflect_left=False this is the plain L2 pairing E[conj(left)*right].
+    left_sites and right_sites are the functionals' _sites, reflected on the
+    left; callers resolve them once per matrix.  Source-free pairings share
+    the measure's moment memo.
     """
-    lattice = measure.lattice
-    h = lattice.spacing
-    C = measure.covariance
-
-    def left_time(t: float) -> float:
-        return -t if reflect_left else t
-
-    idx: list[int] = []
-    for f, on_left in ((left, True), (right, False)):
-        if f.kind == KIND_MONOMIAL:
-            for t, d in zip(f.times, f.degrees):
-                site = lattice.index_of_time(left_time(t) if on_left else t)
-                idx.extend([site] * int(d))
-
     source = None
     if left.kind == KIND_EXPONENTIAL or right.kind == KIND_EXPONENTIAL:
         # conj(exp(i q(f))) = exp(-i q(f)) for real f; reflection moves the
         # coefficients to mirrored sites.  Combine both sides into one
         # source vector over lattice sites, scaled by the smearing factor h.
+        lattice = measure.lattice
+        h = lattice.spacing
         source = np.zeros(lattice.n_points, dtype=complex)
         if left.kind == KIND_EXPONENTIAL:
             c = left.test_function.coeffs
-            source -= h * (c[::-1] if reflect_left else np.conj(c))
+            source -= h * c[::-1]
         if right.kind == KIND_EXPONENTIAL:
             source += h * right.test_function.coeffs
-    return gaussian_monomial_with_source(C, idx, source)
+    return gaussian_monomial_with_source(
+        measure.covariance, left_sites + right_sites, source, memo=measure.moment_memo
+    )
 
 
 def reflected_gram(
     measure: GaussianEuclideanMeasure, basis: Sequence[ObservableFunctional]
 ) -> np.ndarray:
+    lattice = measure.lattice
+    left = [_sites(lattice, f, reflect=True) for f in basis]
+    right = [_sites(lattice, f) for f in basis]
     n = len(basis)
     G = np.zeros((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            G[j, k] = _pairing(measure, basis[j], basis[k], reflect_left=True)
+            G[j, k] = _pairing(measure, basis[j], left[j], basis[k], right[k])
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real
     return G
@@ -256,18 +263,9 @@ class ReconstructedSpace:
     physical_dim: int
     to_physical: np.ndarray
     vacuum: np.ndarray
-    transfer: np.ndarray | None = None
-    transfer_step: float | None = None
-    hamiltonian: np.ndarray | None = None
 
     def kept(self) -> tuple[np.ndarray, np.ndarray]:
         return self.eigenvalues, self.eigenvectors
-
-    def expand_in_physical(self, pairings: np.ndarray) -> np.ndarray:
-        """Physical coordinates of a functional given its pairings with
-        every basis element (vector of <basis_j, functional>)."""
-        lam, V = self.kept()
-        return (V.conj().T @ pairings) / np.sqrt(lam)
 
 
 def build_physical_space(
@@ -362,14 +360,17 @@ def _shift_pairing_matrix(
                         % (fmt(dt), fmt(t), fmt(lattice.max_time))
                     )
         shifted.append(g)
+    left = [_sites(lattice, f, reflect=True) for f in space.basis]
+    right = [_sites(lattice, g) for g in shifted]
     n = len(space.basis)
     M = np.zeros((n, n), dtype=complex)
     for j in range(n):
         for k in range(n):
-            M[j, k] = _pairing(measure, space.basis[j], shifted[k])
-    self_norms = np.array(
-        [_pairing(measure, shifted[k], shifted[k]).real for k in range(n)]
-    )
+            M[j, k] = _pairing(measure, space.basis[j], left[j], shifted[k], right[k])
+    self_norms = np.array([
+        _pairing(measure, g, _sites(lattice, g, reflect=True), g, right[k]).real
+        for k, g in enumerate(shifted)
+    ])
     if np.max(np.abs(M.imag)) == 0.0:
         M = M.real
     return M, self_norms
@@ -431,15 +432,6 @@ def transfer_operator(
     return T
 
 
-def attach_dynamics(space: ReconstructedSpace, step: float) -> ReconstructedSpace:
-    """Convenience: compute transfer and Hamiltonian, return completed copy."""
-    T = transfer_operator(space, step)
-    ham = extract_hamiltonian(space, T, step)
-    return replace(
-        space, transfer=T, transfer_step=float(step), hamiltonian=ham.matrix
-    )
-
-
 @dataclass(frozen=True)
 class HamiltonianResult:
     """Hamiltonian from the transfer logarithm, ground state shifted to 0."""
@@ -499,6 +491,7 @@ def multiplication_operator(
     lattice = space.measure.lattice
     tau = 0.5 * lattice.spacing if at_time is None else float(at_time)
     lattice.index_of_time(tau)
+    left = [_sites(lattice, f, reflect=True) for f in space.basis]
     n = len(space.basis)
     M = np.zeros((n, n), dtype=complex)
     for k, fk in enumerate(space.basis):
@@ -508,8 +501,9 @@ def multiplication_operator(
             if coeff == 0.0:
                 continue
             target = monomial(fk.times + (tau,), fk.degrees + (d,)) if d else fk
+            target_sites = _sites(lattice, target)
             for j, fj in enumerate(space.basis):
-                M[j, k] += coeff * _pairing(space.measure, fj, target)
+                M[j, k] += coeff * _pairing(space.measure, fj, left[j], target, target_sites)
     lam, V = space.kept()
     inv_sqrt = 1.0 / np.sqrt(lam)
     A = (inv_sqrt[:, None] * (V.conj().T @ M @ V)) * inv_sqrt[None, :]
@@ -569,20 +563,27 @@ def verify_npoint_identity(
     for t in times:
         lattice.index_of_time(t)
 
-    # operator side, built right to left
+    # operator side, built right to left; each factor is built once
+    multiply: dict[int, np.ndarray] = {}
+    shift: dict[float, np.ndarray] = {}
     vec = space.vacuum.copy()
     for k in range(len(times) - 1, -1, -1):
-        coeffs = [0.0] * degrees[k] + [1.0]
-        vec = multiplication_operator(space, coeffs) @ vec
+        d = degrees[k]
+        if d not in multiply:
+            multiply[d] = multiplication_operator(space, [0.0] * d + [1.0])
+        vec = multiply[d] @ vec
         if k > 0:
-            T = transfer_operator(space, times[k] - times[k - 1])
-            vec = T @ vec
+            gap = times[k] - times[k - 1]
+            if gap not in shift:
+                shift[gap] = transfer_operator(space, gap)
+            vec = shift[gap] @ vec
     lhs = float(np.real(np.vdot(space.vacuum, vec)))
 
     idx: list[int] = []
     for t, d in zip(times, degrees):
         idx.extend([lattice.index_of_time(t)] * d)
-    rhs = float(isserlis_moment(space.measure.covariance, idx))
+    measure = space.measure
+    rhs = float(isserlis_moment(measure.covariance, idx, memo=measure.moment_memo))
 
     rhs_mc = None
     mc_se = None
@@ -654,7 +655,9 @@ def check_reflection_intertwining(
     G = np.zeros((N, N))
     for (j, dj), a in index.items():
         for (k, dk), b in index.items():
-            G[a, b] = isserlis_moment(measure.covariance, [j] * dj + [k] * dk)
+            G[a, b] = isserlis_moment(
+                measure.covariance, [j] * dj + [k] * dk, memo=measure.moment_memo
+            )
 
     inter = 0.0
     unit = float(np.max(np.abs(J.T @ G @ J - G))) / (float(np.max(np.abs(G))) or 1.0)

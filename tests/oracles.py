@@ -5,9 +5,13 @@ package implementation: cofactor inversion instead of numpy solves, a
 banded boundary-value solve instead of a closed-form kernel, quadrature
 diagonalization of the continuum step kernel instead of lattice
 compression, the hand-expanded three-pairing sum instead of the recursive
-moment evaluator, and exact rational rank instead of an SVD threshold.
+moment evaluator, a sum over all subsets of factors instead of the
+non-centred recursion for sourced moments, and exact rational rank instead
+of an SVD threshold.
 Tests freeze values produced here and compare package output against them.
 """
+import itertools
+
 import numpy as np
 from scipy.linalg import solve_banded
 
@@ -149,6 +153,47 @@ def moment_with_source_1d(sigma2, s, degree):
     if degree == 2:
         return (sigma2 - s**2 * sigma2**2) * damp
     raise ValueError("closed form written out only through degree 2")
+
+
+def moment_with_source_subset_sum(cov, indices, source, magnitudes=False):
+    """E[x_{i1}...x_{ik} exp(i sum_j source_j x_j)] by the complex shift,
+    expanded over all 2^k subsets of factors.
+
+    Each subset takes the imaginary mean i (C s)_p at its factors and a
+    centered Isserlis moment of the rest, from a recursion of its own.
+    magnitudes=True sums the absolute values of the expanded terms instead,
+    the scale against which cancellation error is measured.
+    """
+    idx = tuple(int(i) for i in indices)
+    s = np.asarray(source, dtype=complex)
+    shift = cov @ s
+    prefactor = np.exp(-0.5 * complex(s @ shift))
+    unit = 1j
+    if magnitudes:
+        cov, shift, prefactor, unit = np.abs(cov), np.abs(shift), abs(prefactor), 1.0
+    memo = {}
+
+    def even_moment(t):
+        if not t:
+            return 1.0
+        if len(t) % 2 == 1:
+            return 0.0
+        if t not in memo:
+            first, rest = t[0], t[1:]
+            memo[t] = sum(cov[first, rest[p]] * even_moment(rest[:p] + rest[p + 1:])
+                          for p in range(len(rest)))
+        return memo[t]
+
+    total = 0.0 + 0.0j
+    positions = range(len(idx))
+    for r in range(len(idx) + 1):
+        for taken in itertools.combinations(positions, r):
+            mean_part = 1.0 + 0.0j
+            for p in taken:
+                mean_part *= unit * shift[idx[p]]
+            rest = tuple(sorted(idx[p] for p in positions if p not in taken))
+            total += mean_part * even_moment(rest)
+    return complex(prefactor * total)
 
 
 # -- reversible cross-block factorization -------------------------------------

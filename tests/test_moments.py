@@ -1,6 +1,8 @@
 """Gaussian moment engine against independent pairing-sum oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oslab.moments import gaussian_monomial_with_source, isserlis_moment
@@ -101,3 +103,68 @@ def test_source_moment_monte_carlo_cross_check():
     se = np.std(vals) / np.sqrt(len(vals))
     want = gaussian_monomial_with_source(cov, (0, 1, 1), src)
     assert abs(est - want) < 4.0 * se
+
+
+# -- properties on random covariances -----------------------------------------
+
+def spd_from_seed(dim, seed):
+    return random_spd(dim, np.random.default_rng(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_engine_matches_hand_expanded_pairings(seed, data):
+    cov = spd_from_seed(6, seed)
+    memo = {}
+    four = data.draw(st.lists(st.integers(0, 5), min_size=4, max_size=4))
+    six = data.draw(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    # pairing terms may cancel: compare against the sum of their magnitudes
+    for indices, want, scale in (
+        (four, oracles.four_point_wick(cov, *four), oracles.four_point_wick(np.abs(cov), *four)),
+        (six, oracles.six_point_wick(cov, six), oracles.six_point_wick(np.abs(cov), six)),
+    ):
+        for m in (None, memo):
+            got = isserlis_moment(cov, indices, memo=m)
+            assert abs(got - want) <= 1.0e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(st.lists(st.integers(0, 4), max_size=8), min_size=1, max_size=25),
+)
+def test_shared_memo_is_bitwise_fresh(seed, calls):
+    cov = spd_from_seed(5, seed)
+    src = np.random.default_rng(seed).uniform(-0.5, 0.5, 5)
+    shared = {}
+    for indices in calls:
+        fresh = isserlis_moment(cov, indices)
+        reused = isserlis_moment(cov, indices, memo=shared)
+        assert np.float64(reused).tobytes() == np.float64(fresh).tobytes()
+        via_source = gaussian_monomial_with_source(cov, indices, None, memo=shared)
+        assert via_source == complex(fresh)
+        # a sourced call ignores the memo and must leave it as it was
+        before = dict(shared)
+        sourced = gaussian_monomial_with_source(cov, indices, src, memo=shared)
+        assert shared == before
+        assert sourced == gaussian_monomial_with_source(cov, indices, src)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    indices=st.lists(st.integers(0, 3), max_size=7),
+    complex_source=st.booleans(),
+)
+def test_sourced_recursion_matches_subset_sum(seed, indices, complex_source):
+    rng = np.random.default_rng(seed)
+    cov = random_spd(4, rng)
+    src = rng.uniform(-0.5, 0.5, 4)
+    if complex_source:
+        src = src + 1j * rng.uniform(-0.5, 0.5, 4)
+    got = gaussian_monomial_with_source(cov, indices, src)
+    want = oracles.moment_with_source_subset_sum(cov, indices, src)
+    # subset terms can cancel (relative error up to ~4e-12 of the value
+    # in 3000 draws), so compare against the sum of the terms' magnitudes
+    scale = abs(oracles.moment_with_source_subset_sum(cov, indices, src, magnitudes=True))
+    assert abs(got - want) <= 1.0e-13 * scale

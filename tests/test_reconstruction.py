@@ -1,8 +1,11 @@
 """Physical Hilbert space, transfer semigroup, Hamiltonian, n-point identity."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from oslab import reconstruction
 from oslab.lattice import (
     TestFunction,
     TimeLattice,
@@ -10,13 +13,14 @@ from oslab.lattice import (
     free_field_covariance,
     ou_covariance,
 )
+from oslab.moments import isserlis_moment
 from oslab.reconstruction import (
+    GRAM_SYMMETRY_RTOL,
     HamiltonianResult,
     ReflectionPositivityError,
     RepresentabilityError,
     ShiftRangeError,
     SpectrumError,
-    attach_dynamics,
     build_physical_space,
     check_reflection_intertwining,
     constant_functional,
@@ -138,14 +142,12 @@ def test_hamiltonian_spectrum_is_harmonic_ladder():
     m = ou_covariance(1.0, LAT)
     times = [float(x) for x in LAT.times[8:11]]
     sp = build_physical_space(m, times=times, max_degree=3)
-    ham = attach_dynamics(sp, 0.25)
     res = extract_hamiltonian(sp, transfer_operator(sp, 0.25), 0.25)
     assert isinstance(res, HamiltonianResult)
     assert abs(res.ground_energy) < 1.0e-10
     gaps = res.spectrum[1:] - res.spectrum[0]
     assert np.max(np.abs(gaps - np.array([1.0, 2.0, 3.0]))) < 1.0e-10
     assert np.linalg.norm(res.matrix @ sp.vacuum) < 1.0e-10
-    assert ham.hamiltonian is not None and ham.transfer_step == 0.25
 
 
 def test_hamiltonian_matches_integral_operator_oracle():
@@ -272,3 +274,84 @@ def test_space_serialization(tmp_path):
     out = tmp_path / "space.txt"
     write_space(str(out), sp)
     assert out.read_text() == text
+
+
+# -- the shared moment memo ----------------------------------------------------
+
+def fresh_pairing(measure, left, right):
+    """<left, right> for monomials, one fresh-memo Isserlis call per entry."""
+    idx = [LAT.index_of_time(-t) for t, d in zip(left.times, left.degrees) for _ in range(d)]
+    idx += [LAT.index_of_time(t) for t, d in zip(right.times, right.degrees) for _ in range(d)]
+    return isserlis_moment(measure.covariance, idx)
+
+
+def test_shared_memo_matrices_are_bitwise_entrywise():
+    m = ou_covariance(0.8, LAT)
+    sp = build_physical_space(m, times=[float(t) for t in LAT.times[8:10]], max_degree=5)
+    basis = sp.basis
+    shifted = [f.shifted(0.25) for f in basis]
+    G_ref = np.array([[fresh_pairing(m, f, g) for g in basis] for f in basis])
+    M_ref = np.array([[fresh_pairing(m, f, g) for g in shifted] for f in basis])
+    norms_ref = np.array([fresh_pairing(m, g, g) for g in shifted])
+    assert len(m.moment_memo) > 0
+    assert np.array_equal(sp.gram, G_ref)
+    assert np.array_equal(reflected_gram(m, basis), G_ref)
+    M, norms = reconstruction._shift_pairing_matrix(sp, 0.25)
+    assert np.array_equal(M, M_ref)
+    assert np.array_equal(norms, norms_ref)
+
+
+def test_measure_covariance_is_read_only():
+    m = ou_covariance(1.0, LAT)
+    with pytest.raises(ValueError):
+        m.covariance[0, 0] = 2.0
+    assert m.covariance[0, 0] == 0.5
+
+
+def test_npoint_builds_each_factor_once(monkeypatch):
+    m = ou_covariance(1.0, LAT)
+    sp = build_physical_space(m, times=[T0], max_degree=4)
+    calls = {"multiply": [], "transfer": []}
+    multiply, transfer = reconstruction.multiplication_operator, reconstruction.transfer_operator
+
+    def counted_multiply(space, coefficients, at_time=None):
+        calls["multiply"].append(tuple(coefficients))
+        return multiply(space, coefficients, at_time)
+
+    def counted_transfer(space, step, **kwargs):
+        calls["transfer"].append(step)
+        return transfer(space, step, **kwargs)
+
+    monkeypatch.setattr(reconstruction, "multiplication_operator", counted_multiply)
+    monkeypatch.setattr(reconstruction, "transfer_operator", counted_transfer)
+    ts, ds = (T0, T0 + 0.25, T0 + 0.5, T0 + 1.0), (1, 1, 1, 1)
+    rep = verify_npoint_identity(sp, ts, ds)
+    assert sorted(calls["multiply"]) == [(0.0, 1.0)]
+    assert sorted(calls["transfer"]) == [0.25, 0.5]
+    monkeypatch.undo()
+    # the chain with every factor rebuilt gives the same number
+    vec = sp.vacuum.copy()
+    for k in range(3, -1, -1):
+        vec = multiplication_operator(sp, [0.0, 1.0]) @ vec
+        if k:
+            vec = transfer_operator(sp, ts[k] - ts[k - 1]) @ vec
+    assert rep.lhs_operator == float(np.real(np.vdot(sp.vacuum, vec)))
+
+
+KINDS = {
+    "ou": lambda mass: ou_covariance(mass, LAT),
+    "free-field": lambda mass: free_field_covariance(mass, LAT),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KINDS)),
+    mass=st.floats(0.3, 2.0),
+    degree=st.integers(1, 4),
+    sites=st.sets(st.integers(8, 15), min_size=1, max_size=3),
+)
+def test_reflected_gram_is_hermitian(kind, mass, degree, sites):
+    m = KINDS[kind](mass)
+    G = reflected_gram(m, monomial_basis([float(LAT.times[j]) for j in sites], degree))
+    assert np.max(np.abs(G - G.conj().T)) <= GRAM_SYMMETRY_RTOL * np.max(np.abs(G))
