@@ -8,11 +8,17 @@ Subcommands
     cone-check   hyperbolic cone diagnostics and semigroup membership
     suite        every check above plus controls, one summary table
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
-configuration error.  Reports are plain text written atomically; tables
-carry 17 significant digits, summaries 6.  With a fixed seed and config,
-repeated runs produce byte-identical files: no timestamps, no absolute
-paths, fixed iteration order.
+Exit codes: 0 all checks pass; 1 a mathematical check failed, either in a
+report's verdict or by raising one of MATH_ERRORS; 2 any other ValueError,
+which is a malformed request (a bad configuration value or flag, an
+off-grid time or step, a shift off the lattice, mismatched lattices, a
+test function outside D+), and any argument argparse rejects.
+
+Reports are plain text written atomically; tables carry 17 significant
+digits, summaries 6.  With a fixed seed and config, repeated runs produce
+byte-identical files: no timestamps, no absolute paths, fixed iteration
+order.  suite computes each check with the helper its subcommand uses, so
+its summary numbers are the subcommands' numbers.
 
 Configuration is a key: value text file; command-line flags win over file
 values.  The default output directory comes from --out, then the
@@ -29,9 +35,9 @@ import numpy as np
 
 from . import liealg
 from .lattice import (
+    PSD_RTOL,
     CovarianceError,
     GaussianEuclideanMeasure,
-    LatticeMismatchError,
     TestFunction,
     TimeLattice,
     check_stationarity,
@@ -41,8 +47,6 @@ from .lattice import (
     ou_covariance,
 )
 from .positivity import (
-    DEFAULT_PSD_RTOL,
-    DplusMembershipError,
     HermiticityError,
     SampledObservable,
     certificate_to_text,
@@ -56,7 +60,6 @@ from .reconstruction import (
     OperatorBoundError,
     ReflectionPositivityError,
     RepresentabilityError,
-    ShiftRangeError,
     SpectrumError,
     build_physical_space,
     check_reflection_intertwining,
@@ -87,9 +90,16 @@ CORRUPTION_OFFSET = 0.5
 CORRUPTED_SPIKE_SITE = 9
 CORRUPTED_SPIKE_SCALE = 0.2
 
-# errors that mean the requested computation is out of range or malformed
-RANGE_ERRORS = (ShiftRangeError, LatticeMismatchError, DplusMembershipError)
-# errors that mean a mathematical check failed on valid input
+# bound on a residual that vanishes exactly in theory: semigroup, vacuum
+# energy, re-factorization, intertwining and unitarity defects
+RESIDUAL_TOL = 1.0e-8
+# bound on a relative deviation: harmonic-ladder gaps, operator vs Wick
+REL_DEV_TOL = 0.01
+# bound on the distance of the sl2R-cartan dual from su(2)
+SU2_MATCH_TOL = 1.0e-10
+
+# errors that mean a mathematical check failed on valid input; every other
+# ValueError is a malformed request
 MATH_ERRORS = (
     ReflectionPositivityError,
     RepresentabilityError,
@@ -226,25 +236,42 @@ def corrupted_functional(measure: GaussianEuclideanMeasure):
     return evaluate
 
 
-def _random_complex_family(lattice: TimeLattice, rng, size: int):
-    fs = []
-    for _ in range(size):
-        c = 0.35 * (
-            rng.standard_normal(lattice.n_points)
-            + 1j * rng.standard_normal(lattice.n_points)
-        )
-        fs.append(TestFunction(lattice, c))
-    return fs
+def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional, rtol: float):
+    """Certificates over the seeded random families: cfg.families pd
+    certificates over complex functions, then as many rp certificates over
+    real D+ functions, all drawn from one generator seeded with cfg.seed."""
+    rng = np.random.default_rng(cfg.seed)
+    n, pos = lattice.n_points, lattice.positive_indices
 
+    def complex_coeffs():
+        return 0.35 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
-def _random_dplus_family(lattice: TimeLattice, rng, size: int):
-    pos = lattice.positive_indices
-    fs = []
-    for _ in range(size):
-        c = np.zeros(lattice.n_points)
+    def dplus_coeffs():
+        c = np.zeros(n)
         c[pos] = 0.5 * rng.standard_normal(len(pos))
-        fs.append(TestFunction(lattice, c))
-    return fs
+        return c
+
+    certs = []
+    for certify, draw in ((pd_gram_certificate, complex_coeffs),
+                          (rp_gram_certificate, dplus_coeffs)):
+        certs.append([])
+        for _ in range(cfg.families):
+            size = int(rng.integers(1, cfg.family_size + 1))
+            family = [TestFunction(lattice, draw()) for _ in range(size)]
+            certs[-1].append(certify(functional, family, rtol))
+    return certs
+
+
+def _spike_family(lattice: TimeLattice):
+    """The non-rp control family: a spike at every positive site."""
+    return delta_family(lattice, list(lattice.positive_indices), NON_RP_SCALE)
+
+
+def _corrupted_fixture(lattice: TimeLattice):
+    """The corrupted-control family: the zero function and one spike."""
+    c = np.zeros(lattice.n_points)
+    c[min(CORRUPTED_SPIKE_SITE, lattice.n_points - 1)] = CORRUPTED_SPIKE_SCALE
+    return [TestFunction(lattice, np.zeros(lattice.n_points)), TestFunction(lattice, c)]
 
 
 def _say(quiet: bool, text: str) -> None:
@@ -267,36 +294,36 @@ def _config_lines(cfg: RunConfig, keys) -> list:
     return ["%s: %s" % (k, rendered[k]) for k in keys]
 
 
+def _finish(cfg: RunConfig, quiet: bool, command: str, filename: str, lines: list,
+            failures: list) -> int:
+    """Close a report with its verdict and one line per failure, write it,
+    print the verdict, and return the exit code."""
+    lines.append("verdict: %s" % ("pass" if not failures else "fail"))
+    lines += ["failure: %s" % f for f in failures]
+    lines.append("")
+    atomic_write(os.path.join(cfg.out_dir(), filename), "\n".join(lines))
+    _say(quiet, "%s: %s" % (command, "PASS" if not failures else "FAIL"))
+    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+
+
 # -- rp-check -----------------------------------------------------------------
 
 def cmd_rp_check(cfg: RunConfig, quiet: bool = False) -> int:
     measure = build_measure(cfg)
     lattice = measure.lattice
-    rtol = cfg.tolerance if cfg.tolerance is not None else DEFAULT_PSD_RTOL
+    rtol = cfg.tolerance if cfg.tolerance is not None else PSD_RTOL
     functional = measure.generating_functional
+    runs = []  # (label, certificate)
     if cfg.instance == "corrupted":
         functional = corrupted_functional(measure)
-
-    rng = np.random.default_rng(cfg.seed)
-    runs = []  # (label, certificate)
-
-    if cfg.instance == "corrupted":
-        zero = TestFunction(lattice, np.zeros(lattice.n_points))
-        c = np.zeros(lattice.n_points)
-        c[min(CORRUPTED_SPIKE_SITE, lattice.n_points - 1)] = CORRUPTED_SPIKE_SCALE
-        fixture = [zero, TestFunction(lattice, c)]
-        runs.append(("pd fixture", pd_gram_certificate(functional, fixture, rtol)))
-    for i in range(cfg.families):
-        size = int(rng.integers(1, cfg.family_size + 1))
-        fam = _random_complex_family(lattice, rng, size)
-        runs.append(("pd family %d" % i, pd_gram_certificate(functional, fam, rtol)))
+        runs.append(("pd fixture",
+                     pd_gram_certificate(functional, _corrupted_fixture(lattice), rtol)))
+    pd_certs, rp_certs = _family_certificates(cfg, lattice, functional, rtol)
+    runs += [("pd family %d" % i, cert) for i, cert in enumerate(pd_certs)]
     if cfg.instance == "non-rp":
-        spikes = delta_family(lattice, list(lattice.positive_indices), NON_RP_SCALE)
-        runs.append(("rp spike family", rp_gram_certificate(functional, spikes, rtol)))
-    for i in range(cfg.families):
-        size = int(rng.integers(1, cfg.family_size + 1))
-        fam = _random_dplus_family(lattice, rng, size)
-        runs.append(("rp family %d" % i, rp_gram_certificate(functional, fam, rtol)))
+        runs.append(("rp spike family",
+                     rp_gram_certificate(functional, _spike_family(lattice), rtol)))
+    runs += [("rp family %d" % i, cert) for i, cert in enumerate(rp_certs)]
 
     n_bad = sum(1 for _, cert in runs if cert.verdict != "positive")
     lines = ["format: oslab-rp-check v1"]
@@ -356,6 +383,17 @@ def _comparison_rows(reports, with_mc: bool):
     return "\n".join(rows) + "\n"
 
 
+def _ladder(space, T: np.ndarray, step: float, mass: float):
+    """Hamiltonian of the transfer T, its excitation gaps over the ground
+    state, their worst relative deviation from the harmonic ladder m, 2m,
+    ..., and the vacuum energy |H vacuum|."""
+    ham = extract_hamiltonian(space, T, step)
+    gaps = ham.spectrum[1:] - ham.spectrum[0]
+    expected = mass * np.arange(1, len(gaps) + 1)
+    gap_dev = float(np.max(np.abs(gaps - expected) / expected)) if len(gaps) else 0.0
+    return ham, gaps, gap_dev, float(np.linalg.norm(ham.matrix @ space.vacuum))
+
+
 def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
     if cfg.instance not in ("ou", "free-field"):
         raise ConfigError("reconstruct expects instance ou or free-field")
@@ -375,22 +413,18 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
     semigroup_residual = float(np.max(np.abs(T @ T - T2)))
 
     asymmetry = float(np.max(np.abs(T - T.T)))
-    T_sym = 0.5 * (T + T.T)
-    ham = extract_hamiltonian(space, T_sym, step)
-    vacuum_energy = float(np.linalg.norm(ham.matrix @ space.vacuum))
-    gaps = ham.spectrum[1:] - ham.spectrum[0]  # excitations over the ground state
+    ham, gaps, gap_dev, vacuum_energy = _ladder(space, T, step, cfg.mass)
 
     failures = []
     if norm > 1.0 + contraction_tol:
         failures.append("contraction norm %s exceeds bound" % fmt6(norm))
     if exact:
-        if semigroup_residual > 1.0e-8:
-            failures.append("semigroup residual %s exceeds 1e-08" % fmt6(semigroup_residual))
-        if vacuum_energy > 1.0e-8:
-            failures.append("vacuum energy %s exceeds 1e-08" % fmt6(vacuum_energy))
-        expected = cfg.mass * np.arange(1, len(gaps) + 1)
-        gap_dev = float(np.max(np.abs(gaps - expected) / expected)) if len(gaps) else 0.0
-        if gap_dev > 0.01:
+        if semigroup_residual > RESIDUAL_TOL:
+            failures.append("semigroup residual %s exceeds %g"
+                            % (fmt6(semigroup_residual), RESIDUAL_TOL))
+        if vacuum_energy > RESIDUAL_TOL:
+            failures.append("vacuum energy %s exceeds %g" % (fmt6(vacuum_energy), RESIDUAL_TOL))
+        if gap_dev > REL_DEV_TOL:
             failures.append("spectrum gaps deviate %s from harmonic ladder" % fmt6(gap_dev))
     else:
         gap_dev = None
@@ -407,7 +441,7 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
             npoint_space, npoint_times, (1, 1), n_samples=cfg.samples, seed=cfg.seed
         )
         comparison = [("q(%s)q(%s)" % (fmt6(npoint_times[0]), fmt6(npoint_times[1])), rep)]
-        if rep.operator_vs_wick > 0.01:
+        if rep.operator_vs_wick > REL_DEV_TOL:
             failures.append("two-point comparison off by %s" % fmt6(rep.operator_vs_wick))
 
     lines = ["format: oslab-reconstruct v1"]
@@ -438,23 +472,14 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
     lines.append("vacuum_energy_norm: %s" % fmt(vacuum_energy))
     if comparison:
         lines.append("two_point_rel_dev: %s" % fmt(comparison[0][1].operator_vs_wick))
-    lines.append("verdict: %s" % ("pass" if not failures else "fail"))
-    for f in failures:
-        lines.append("failure: %s" % f)
-    lines.append("")
-
-    out = cfg.out_dir()
-    atomic_write(os.path.join(out, "reconstruct_report.txt"), "\n".join(lines))
-    if comparison:
         atomic_write(
-            os.path.join(out, "reconstruct_comparison.csv"),
+            os.path.join(cfg.out_dir(), "reconstruct_comparison.csv"),
             _comparison_rows(comparison, with_mc=cfg.samples > 0),
         )
     _say(quiet, "reconstruct physical_dim=%d transfer_norm=%s" % (space.physical_dim, fmt6(norm)))
     for f in failures:
         _say(quiet, "reconstruct FAIL: %s" % f)
-    _say(quiet, "reconstruct: %s" % ("PASS" if not failures else "FAIL"))
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    return _finish(cfg, quiet, "reconstruct", "reconstruct_report.txt", lines, failures)
 
 
 # -- npoint -------------------------------------------------------------------
@@ -489,7 +514,7 @@ def cmd_npoint(cfg: RunConfig, quiet: bool = False) -> int:
         rep = verify_npoint_identity(space, times, degrees, n_samples=cfg.samples, seed=cfg.seed)
         label = "".join("q(%s)^%d" % (fmt6(t), d) for t, d in zip(times, degrees))
         reports.append((label, rep))
-        if rep.operator_vs_wick > 0.01:
+        if rep.operator_vs_wick > REL_DEV_TOL:
             failures.append("%s: operator vs Wick off by %s" % (label, fmt6(rep.operator_vs_wick)))
         sigma = rep.mc_sigma_deviation
         if sigma is not None and sigma > 3.0:
@@ -516,61 +541,54 @@ def cmd_npoint(cfg: RunConfig, quiet: bool = False) -> int:
                 "" if cfg.samples == 0 else ", mc %s sigma" % fmt6(rep.mc_sigma_deviation),
             ),
         )
-    lines.append("verdict: %s" % ("pass" if not failures else "fail"))
-    for f in failures:
-        lines.append("failure: %s" % f)
-    lines.append("")
-
-    out = cfg.out_dir()
-    atomic_write(os.path.join(out, "npoint_report.txt"), "\n".join(lines))
     atomic_write(
-        os.path.join(out, "npoint_comparison.csv"),
+        os.path.join(cfg.out_dir(), "npoint_comparison.csv"),
         _comparison_rows(reports, with_mc=cfg.samples > 0),
     )
-    _say(quiet, "npoint: %s" % ("PASS" if not failures else "FAIL"))
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    return _finish(cfg, quiet, "npoint", "npoint_report.txt", lines, failures)
 
 
 # -- cdual --------------------------------------------------------------------
 
 def _load_algebra(name: str):
+    """(algebra, involution or None, cone or None) from a file or a built-in name."""
     if os.path.isfile(name):
         with open(name) as fh:
-            algebra, involution, cone = liealg.algebra_from_text(fh.read())
-        return algebra, involution, cone
+            return liealg.algebra_from_text(fh.read())
     algebra, involution = liealg.builtin_algebra(name)
     return algebra, involution, None
 
 
-def cmd_cdual(cfg: RunConfig, quiet: bool = False) -> int:
-    name = cfg.algebra or "sl2R-cartan"
-    try:
-        algebra, involution, _ = _load_algebra(name)
-    except ValueError as exc:
-        if isinstance(exc, MATH_ERRORS):
-            raise
-        raise ConfigError(str(exc)) from exc
-    report = liealg.validate_algebra(algebra)
-    if involution is None:
-        raise ConfigError("algebra %r carries no involution; cannot form the dual" % name)
+def _double_dual(name: str, algebra, involution):
+    """The involutive split, the adapted algebra and the c-dual, with the
+    dual's Jacobi residual, the drift of the dual applied twice, and for
+    sl2R-cartan the distance of the dual from su(2) (None otherwise)."""
     split = liealg.split_by_involution(algebra, involution)
     adapted, _ = liealg.adapted_algebra(split)
     dual = liealg.c_dual(split)
-    dual_report = liealg.validate_algebra(dual)
-
+    jacobi = liealg.validate_algebra(dual).jacobi_residual
     dual_split = liealg.split_by_involution(dual, liealg.c_dual_involution(split))
-    double = liealg.c_dual(dual_split)
-    double_residual = float(np.max(np.abs(double.structure - adapted.structure)))
-
-    su2_residual = None
+    double = float(np.max(np.abs(liealg.c_dual(dual_split).structure - adapted.structure)))
+    su2 = None
     if name == "sl2R-cartan":
-        su2 = liealg.change_basis(dual, liealg.SU2_BASIS_CHANGE)
-        su2_residual = float(np.max(np.abs(su2.structure - liealg.su2_structure())))
+        su2 = float(np.max(np.abs(
+            liealg.change_basis(dual, liealg.SU2_BASIS_CHANGE).structure - liealg.su2_structure())))
+    return split, adapted, dual, jacobi, double, su2
+
+
+def cmd_cdual(cfg: RunConfig, quiet: bool = False) -> int:
+    name = cfg.algebra or "sl2R-cartan"
+    algebra, involution, _ = _load_algebra(name)
+    report = liealg.validate_algebra(algebra)
+    if involution is None:
+        raise ConfigError("algebra %r carries no involution; cannot form the dual" % name)
+    split, adapted, dual, dual_jacobi, double_residual, su2_residual = _double_dual(
+        name, algebra, involution)
 
     failures = []
     if double_residual > liealg.STRUCTURE_TOL:
         failures.append("applying the dual twice drifts by %s" % fmt6(double_residual))
-    if su2_residual is not None and su2_residual > 1.0e-10:
+    if su2_residual is not None and su2_residual > SU2_MATCH_TOL:
         failures.append("compact-form identification off by %s" % fmt6(su2_residual))
 
     lines = ["format: oslab-cdual v1"]
@@ -590,46 +608,21 @@ def cmd_cdual(cfg: RunConfig, quiet: bool = False) -> int:
             for k in range(dual.dim):
                 if c[i, j, k] != 0.0:
                     lines.append("  %d %d %d %s" % (i, j, k, fmt(c[i, j, k])))
-    lines.append("dual_jacobi_residual: %s" % fmt(dual_report.jacobi_residual))
+    lines.append("dual_jacobi_residual: %s" % fmt(dual_jacobi))
     lines.append("double_dual_residual: %s" % fmt(double_residual))
     if su2_residual is not None:
         lines.append("su2_match_residual: %s" % fmt(su2_residual))
-    lines.append("verdict: %s" % ("pass" if not failures else "fail"))
-    for f in failures:
-        lines.append("failure: %s" % f)
-    lines.append("")
 
-    atomic_write(os.path.join(cfg.out_dir(), "cdual_report.txt"), "\n".join(lines))
     _say(quiet, "cdual %s: h_dim=%d q_dim=%d double_dual_residual=%s"
          % (name, split.h_dim, split.q_dim, fmt6(double_residual)))
-    _say(quiet, "cdual: %s" % ("PASS" if not failures else "FAIL"))
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    return _finish(cfg, quiet, "cdual", "cdual_report.txt", lines, failures)
 
 
 # -- cone-check ---------------------------------------------------------------
 
-def cmd_cone_check(cfg: RunConfig, quiet: bool = False) -> int:
-    name = cfg.algebra or "sl2R-adH"
-    if name == "nilpotent-control":
-        split, cone = liealg.nilpotent_control_cone()
-        with_membership = False
-    elif name == "sl2R-adH":
-        split, cone = liealg.builtin_cone("sl2R-adH")
-        with_membership = True
-    elif os.path.isfile(name):
-        with open(name) as fh:
-            algebra, involution, cone = liealg.algebra_from_text(fh.read())
-        if involution is None or cone is None:
-            raise ConfigError("algebra file must carry an involution and a cone")
-        liealg.validate_algebra(algebra)
-        split = liealg.split_by_involution(algebra, involution)
-        with_membership = False
-    else:
-        raise ConfigError(
-            "cone-check takes sl2R-adH, nilpotent-control, or an algebra file with a cone"
-        )
-
-    report = liealg.hyperbolic_cone_check(split, cone, h_samples=8, seed=cfg.seed)
+def _cone_failures(report) -> list:
+    """Failure lines of a hyperbolic cone report: a non-hyperbolic point, a
+    witness that is not strictly positive, a cone the fixed subgroup moves."""
     failures = []
     if not report.all_hyperbolic:
         bad = next(pc for pc in report.point_checks if not pc.hyperbolic)
@@ -639,17 +632,48 @@ def cmd_cone_check(cfg: RunConfig, quiet: bool = False) -> int:
     if report.invariance_residual > liealg.CONE_RESIDUAL_TOL:
         failures.append("cone not invariant under the fixed subgroup (residual %s)"
                         % fmt6(report.invariance_residual))
+    return failures
 
-    membership = control = None
-    if with_membership:
-        n_products = cfg.samples if cfg.samples > 0 else 200
-        membership = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="quadrant")
-        control = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="wedge")
-        if membership.success_rate < 1.0:
-            failures.append("quadrant products failed to re-factor (%d of %d)"
-                            % (membership.n_products - membership.n_success, membership.n_products))
-        elif membership.worst_residual > 1.0e-8:
-            failures.append("re-factorization residual %s" % fmt6(membership.worst_residual))
+
+def _membership(cfg: RunConfig):
+    """Quadrant semigroup products and the wedge control (cfg.samples of
+    each, 200 when unset), with the failure lines of the quadrant; the
+    wedge is expected to fail and is diagnostic only."""
+    n_products = cfg.samples if cfg.samples > 0 else 200
+    membership = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="quadrant")
+    control = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="wedge")
+    failures = []
+    if membership.success_rate < 1.0:
+        failures.append("quadrant products failed to re-factor (%d of %d)"
+                        % (membership.n_products - membership.n_success, membership.n_products))
+    elif membership.worst_residual > RESIDUAL_TOL:
+        failures.append("re-factorization residual %s" % fmt6(membership.worst_residual))
+    return membership, control, failures
+
+
+def cmd_cone_check(cfg: RunConfig, quiet: bool = False) -> int:
+    name = cfg.algebra or "sl2R-adH"
+    if name == "nilpotent-control":
+        split, cone = liealg.nilpotent_control_cone()
+    elif name == "sl2R-adH":
+        split, cone = liealg.builtin_cone("sl2R-adH")
+    elif os.path.isfile(name):
+        algebra, involution, cone = _load_algebra(name)
+        if involution is None or cone is None:
+            raise ConfigError("algebra file must carry an involution and a cone")
+        liealg.validate_algebra(algebra)
+        split = liealg.split_by_involution(algebra, involution)
+    else:
+        raise ConfigError(
+            "cone-check takes sl2R-adH, nilpotent-control, or an algebra file with a cone"
+        )
+
+    report = liealg.hyperbolic_cone_check(split, cone, h_samples=8, seed=cfg.seed)
+    failures = _cone_failures(report)
+    membership = None
+    if name == "sl2R-adH":
+        membership, control, more = _membership(cfg)
+        failures += more
 
     lines = ["format: oslab-cone-check v1"]
     lines.append("algebra: %s" % name)
@@ -671,18 +695,12 @@ def cmd_cone_check(cfg: RunConfig, quiet: bool = False) -> int:
         lines.append("wedge_control_rate: %s" % fmt(control.success_rate))
         lines.append("wedge_control_failures: %d" % len(control.failures))
         lines.append("note: the wedge control is expected to fail; it is diagnostic only")
-    lines.append("verdict: %s" % ("pass" if not failures else "fail"))
-    for f in failures:
-        lines.append("failure: %s" % f)
-    lines.append("")
 
-    atomic_write(os.path.join(cfg.out_dir(), "cone_check_report.txt"), "\n".join(lines))
     _say(quiet, "cone-check %s: hyperbolic=%s invariance_residual=%s"
          % (name, report.all_hyperbolic, fmt6(report.invariance_residual)))
     for f in failures:
         _say(quiet, "cone-check FAIL: %s" % f)
-    _say(quiet, "cone-check: %s" % ("PASS" if not failures else "FAIL"))
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    return _finish(cfg, quiet, "cone-check", "cone_check_report.txt", lines, failures)
 
 
 # -- suite --------------------------------------------------------------------
@@ -711,14 +729,13 @@ def _suite_results(cfg: RunConfig):
     lattice = TimeLattice(cfg.n_points, cfg.spacing)
     ou = ou_covariance(cfg.mass, lattice)
     ff = free_field_covariance(cfg.mass, lattice)
-    rng = np.random.default_rng(cfg.seed)
     results = []
 
     margins = []
     for m in (ou, ff):
         w = np.linalg.eigvalsh(m.covariance)
         margins.append(float(w[0] / np.linalg.norm(m.covariance, 2)))
-    ok = all(v >= -1.0e-10 for v in margins)
+    ok = all(v >= -PSD_RTOL for v in margins)
     results.append(("covariance-psd", ok,
                     "min eig over norm: %s" % " ".join(fmt6(v) for v in margins)))
 
@@ -731,37 +748,19 @@ def _suite_results(cfg: RunConfig):
                     "ou deviation %s, boundary-pinned deviation %s reported"
                     % (fmt6(dev_ou), fmt6(dev_ff))))
 
-    pd_certs = []
-    for _ in range(cfg.families):
-        size = int(rng.integers(1, cfg.family_size + 1))
-        pd_certs.append(pd_gram_certificate(
-            ou.generating_functional, _random_complex_family(lattice, rng, size)))
-    ok = all(c.verdict == "positive" for c in pd_certs)
-    worst = min(c.min_eigenvalue / c.norm for c in pd_certs)
-    results.append(("pd-certificates", ok,
-                    "%d families, worst relative min eig %s" % (len(pd_certs), fmt6(worst))))
-
-    rp_certs = []
-    for _ in range(cfg.families):
-        size = int(rng.integers(1, cfg.family_size + 1))
-        rp_certs.append(rp_gram_certificate(
-            ou.generating_functional, _random_dplus_family(lattice, rng, size)))
-    ok = all(c.verdict == "positive" for c in rp_certs)
-    worst = min(c.min_eigenvalue / c.norm for c in rp_certs)
-    results.append(("rp-certificates", ok,
-                    "%d families, worst relative min eig %s" % (len(rp_certs), fmt6(worst))))
+    families = _family_certificates(cfg, lattice, ou.generating_functional, PSD_RTOL)
+    for name, certs in zip(("pd-certificates", "rp-certificates"), families):
+        ok = all(c.verdict == "positive" for c in certs)
+        worst = min(c.min_eigenvalue / c.norm for c in certs)
+        results.append((name, ok,
+                        "%d families, worst relative min eig %s" % (len(certs), fmt6(worst))))
 
     cosine = cosine_damped_covariance(cfg.mass, NON_RP_OMEGA, lattice)
-    spikes = delta_family(lattice, list(lattice.positive_indices), NON_RP_SCALE)
-    cert = rp_gram_certificate(cosine.generating_functional, spikes)
+    cert = rp_gram_certificate(cosine.generating_functional, _spike_family(lattice))
     results.append(("non-rp-control", cert.verdict == "indefinite",
                     "cosine kernel min eig %s (indefinite expected)" % fmt6(cert.min_eigenvalue)))
 
-    broken = corrupted_functional(ou)
-    zero = TestFunction(lattice, np.zeros(lattice.n_points))
-    c1 = np.zeros(lattice.n_points)
-    c1[min(CORRUPTED_SPIKE_SITE, lattice.n_points - 1)] = CORRUPTED_SPIKE_SCALE
-    cert = pd_gram_certificate(broken, [zero, TestFunction(lattice, c1)])
+    cert = pd_gram_certificate(corrupted_functional(ou), _corrupted_fixture(lattice))
     results.append(("corrupted-control", cert.verdict == "indefinite",
                     "corrupted functional min eig %s (indefinite expected)"
                     % fmt6(cert.min_eigenvalue)))
@@ -779,16 +778,10 @@ def _suite_results(cfg: RunConfig):
                     "%d paths, min eig %s (se %s)"
                     % (n_mc, fmt6(cert.min_eigenvalue), fmt6(cert.min_eigenvalue_se))))
 
-    times = _basis_times(cfg, lattice)
-    space = build_physical_space(ou, times=times, max_degree=cfg.max_degree)
+    space = build_physical_space(ou, times=_basis_times(cfg, lattice), max_degree=cfg.max_degree)
     T = transfer_operator(space, cfg.spacing)
-    ham = extract_hamiltonian(space, T, cfg.spacing)
-    gaps = ham.spectrum[1:] - ham.spectrum[0]
-    expected = cfg.mass * np.arange(1, len(gaps) + 1)
-    gap_dev = float(np.max(np.abs(gaps - expected) / expected))
-    vac = float(np.linalg.norm(ham.matrix @ space.vacuum))
-    ok = gap_dev <= 0.01 and vac <= 1.0e-8
-    results.append(("reconstruction-spectrum", ok,
+    _, _, gap_dev, vac = _ladder(space, T, cfg.spacing, cfg.mass)
+    results.append(("reconstruction-spectrum", gap_dev <= REL_DEV_TOL and vac <= RESIDUAL_TOL,
                     "gap deviation %s, vacuum energy %s" % (fmt6(gap_dev), fmt6(vac))))
 
     norm_excess = 0.0
@@ -799,7 +792,7 @@ def _suite_results(cfg: RunConfig):
         Tab = transfer_operator(space, (a_mult + b_mult) * cfg.spacing)
         norm_excess = max(norm_excess, float(np.linalg.norm(Ta, 2)) - 1.0)
         semi = max(semi, float(np.max(np.abs(Ta @ Tb - Tab))))
-    ok = norm_excess <= 1.0e-10 and semi <= 1.0e-8
+    ok = norm_excess <= CONTRACTION_TOL and semi <= RESIDUAL_TOL
     results.append(("contraction-semigroup", ok,
                     "worst norm excess %s, semigroup residual %s" % (fmt6(norm_excess), fmt6(semi))))
 
@@ -809,29 +802,23 @@ def _suite_results(cfg: RunConfig):
     rep2 = verify_npoint_identity(np_space, (t0, t0 + h), (1, 1))
     rep4 = verify_npoint_identity(np_space, (t0, t0 + h, t0 + 2 * h, t0 + 3 * h), (1, 1, 1, 1))
     worst = max(rep2.operator_vs_wick, rep4.operator_vs_wick)
-    results.append(("npoint-identity", worst <= 0.01,
+    results.append(("npoint-identity", worst <= REL_DEV_TOL,
                     "two- and four-point rel dev %s, %s"
                     % (fmt6(rep2.operator_vs_wick), fmt6(rep4.operator_vs_wick))))
 
     rep = check_reflection_intertwining(ou, max_degree=2, shifts=(1, 2))
     broken_rep = check_reflection_intertwining(ou, max_degree=2, shifts=(1,), break_reflection=True)
-    ok = (rep.involution_defect == 0.0 and rep.intertwining_defect <= 1.0e-8
-          and rep.unitarity_defect <= 1.0e-8 and broken_rep.intertwining_defect >= 0.1)
+    ok = (rep.involution_defect == 0.0 and rep.intertwining_defect <= RESIDUAL_TOL
+          and rep.unitarity_defect <= RESIDUAL_TOL and broken_rep.intertwining_defect >= 0.1)
     results.append(("reflection-intertwining", ok,
                     "defects %s / %s, broken control %s"
                     % (fmt6(rep.intertwining_defect), fmt6(rep.unitarity_defect),
                        fmt6(broken_rep.intertwining_defect))))
 
     algebra, tau = liealg.builtin_algebra("sl2R-cartan")
-    split = liealg.split_by_involution(algebra, tau)
-    adapted, _ = liealg.adapted_algebra(split)
-    dual = liealg.c_dual(split)
-    jac = liealg.validate_algebra(dual).jacobi_residual
-    dual_split = liealg.split_by_involution(dual, liealg.c_dual_involution(split))
-    double_res = float(np.max(np.abs(liealg.c_dual(dual_split).structure - adapted.structure)))
-    su2_res = float(np.max(np.abs(
-        liealg.change_basis(dual, liealg.SU2_BASIS_CHANGE).structure - liealg.su2_structure())))
-    ok = jac <= 1.0e-12 and double_res <= 1.0e-12 and su2_res <= 1.0e-10
+    _, _, _, jac, double_res, su2_res = _double_dual("sl2R-cartan", algebra, tau)
+    ok = (jac <= liealg.STRUCTURE_TOL and double_res <= liealg.STRUCTURE_TOL
+          and su2_res <= SU2_MATCH_TOL)
     results.append(("cdual-involution", ok,
                     "jacobi %s, double dual %s, compact match %s"
                     % (fmt6(jac), fmt6(double_res), fmt6(su2_res))))
@@ -841,19 +828,13 @@ def _suite_results(cfg: RunConfig):
     n_split, n_cone = liealg.nilpotent_control_cone()
     n_rep = liealg.hyperbolic_cone_check(n_split, n_cone, h_samples=2, seed=cfg.seed)
     control_named = any("nilpotent" in pc.reason for pc in n_rep.point_checks)
-    ok = (c_rep.all_hyperbolic and c_rep.witness_strictly_positive
-          and c_rep.invariance_residual <= liealg.CONE_RESIDUAL_TOL
-          and not n_rep.all_hyperbolic and control_named)
+    ok = not _cone_failures(c_rep) and not n_rep.all_hyperbolic and control_named
     results.append(("cone-hyperbolic", ok,
                     "invariance residual %s; nilpotent control rejected: %s"
                     % (fmt6(c_rep.invariance_residual), "yes" if control_named else "no")))
 
-    n_products = cfg.samples if cfg.samples > 0 else 200
-    mem = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="quadrant")
-    wedge = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="wedge")
-    ok = (mem.success_rate == 1.0 and mem.worst_residual <= 1.0e-8
-          and wedge.success_rate < 1.0)
-    results.append(("semigroup-membership", ok,
+    mem, wedge, failures = _membership(cfg)
+    results.append(("semigroup-membership", not failures and wedge.success_rate < 1.0,
                     "quadrant rate %s worst %s; wedge control rate %s"
                     % (fmt6(mem.success_rate), fmt6(mem.worst_residual),
                        fmt6(wedge.success_rate))))
@@ -956,68 +937,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _OVERRIDE_KEYS = (
     "instance", "seed", "samples", "out", "tolerance", "step",
-    "n_points", "spacing", "mass",
+    "n_points", "spacing", "mass", "algebra",
 )
+
+COMMANDS = {
+    "rp-check": cmd_rp_check,
+    "reconstruct": cmd_reconstruct,
+    "npoint": cmd_npoint,
+    "cdual": cmd_cdual,
+    "cone-check": cmd_cone_check,
+    "suite": cmd_suite,
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    overrides = {}
-    for key in _OVERRIDE_KEYS:
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
-    if getattr(args, "algebra", None) is not None:
-        overrides["algebra"] = args.algebra
-    if getattr(args, "times", None) is not None:
-        try:
-            overrides["times"] = tuple(float(t) for t in args.times.split())
-        except ValueError:
-            print("error: --times takes space-separated numbers", file=sys.stderr)
-            return EXIT_USAGE
-    if getattr(args, "degrees", None) is not None:
-        try:
-            overrides["degrees"] = tuple(int(d) for d in args.degrees.split())
-        except ValueError:
-            print("error: --degrees takes space-separated integers", file=sys.stderr)
-            return EXIT_USAGE
-
-    any_override = any(
-        overrides.get(k) is not None for k in overrides if k != "out"
-    )
-    config_note = "built-in defaults" if args.config is None and not any_override \
-        else "user-supplied"
-
+    args = _build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS if hasattr(args, key)}
     try:
+        for key, kind, what in (("times", float, "numbers"), ("degrees", int, "integers")):
+            if getattr(args, key, None) is not None:
+                try:
+                    overrides[key] = tuple(kind(x) for x in getattr(args, key).split())
+                except ValueError:
+                    raise ConfigError("--%s takes space-separated %s" % (key, what)) from None
         cfg = load_config(args.config, overrides)
-        if args.command == "rp-check":
-            return cmd_rp_check(cfg, quiet=args.quiet)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, quiet=args.quiet)
-        if args.command == "npoint":
-            return cmd_npoint(cfg, quiet=args.quiet)
-        if args.command == "cdual":
-            return cmd_cdual(cfg, quiet=args.quiet)
-        if args.command == "cone-check":
-            return cmd_cone_check(cfg, quiet=args.quiet)
+        extra = {}
         if args.command == "suite":
-            return cmd_suite(cfg, quiet=args.quiet,
-                             inject_failure=args.inject_failure,
-                             config_note=config_note)
-        raise ConfigError("unknown command %r" % args.command)
-    except ConfigError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except RANGE_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+            user = args.config is not None or any(
+                v is not None for k, v in overrides.items() if k != "out")
+            extra = {"inject_failure": args.inject_failure,
+                     "config_note": "user-supplied" if user else "built-in defaults"}
+        return COMMANDS[args.command](cfg, quiet=args.quiet, **extra)
     except MATH_ERRORS as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ValueError as exc:
-        # remaining value errors are malformed requests (off-grid times,
-        # steps that are not multiples of the spacing, bad shapes)
+        # every other value error is a malformed request: a bad config, an
+        # off-grid time or step, a shift off the lattice, a mismatched lattice
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
 

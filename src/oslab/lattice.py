@@ -46,7 +46,8 @@ from scipy.special import ndtri
 
 from .textio import FLOAT_FMT, atomic_write, fmt, parse_kv_text
 
-# Relative floor for treating a covariance eigenvalue as a PSD violation.
+# Relative floor for treating the smallest eigenvalue of a PSD matrix (a
+# covariance, a certificate gram) as a violation.
 PSD_RTOL = 1.0e-10
 # Relative tolerance on covariance symmetry.
 SYMMETRY_RTOL = 1.0e-12
@@ -224,14 +225,6 @@ class TestFunction:
         return TestFunction(self.lattice, a * self.coeffs)
 
 
-@dataclass(frozen=True)
-class PathSample:
-    """One sampled path: values q(t_j) over the lattice."""
-
-    lattice: TimeLattice
-    values: np.ndarray
-
-
 def ou_covariance(mass: float, lattice: TimeLattice) -> GaussianEuclideanMeasure:
     """Ornstein-Uhlenbeck measure: C(t,s) = exp(-m|t-s|)/(2m)."""
     if not (mass > 0.0):
@@ -360,14 +353,6 @@ def sample_path_matrix(
     L = _covariance_factor(measure)
     Z = _standard_normal(seed, count, measure.lattice.n_points)
     return Z @ L.T
-
-
-def sample_paths(
-    measure: GaussianEuclideanMeasure, count: int, seed: int
-) -> list[PathSample]:
-    """Draw paths as PathSample records.  Deterministic for a fixed seed."""
-    mat = sample_path_matrix(measure, count, seed)
-    return [PathSample(measure.lattice, mat[i]) for i in range(count)]
 
 
 def check_stationarity(

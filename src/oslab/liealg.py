@@ -143,9 +143,6 @@ class InvolutionSplit:
     def q_projector(self) -> np.ndarray:
         return 0.5 * (np.eye(self.algebra.dim) - self.involution.matrix)
 
-    def h_projector(self) -> np.ndarray:
-        return 0.5 * (np.eye(self.algebra.dim) + self.involution.matrix)
-
 
 def _rref_rows(mat: np.ndarray, tol: float = 1.0e-10) -> np.ndarray:
     """Reduced-row-echelon basis of the row space.

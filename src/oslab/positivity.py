@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lattice import (
+    PSD_RTOL,
     GaussianEuclideanMeasure,
     LatticeMismatchError,
     TestFunction,
@@ -42,7 +43,6 @@ from .lattice import (
 from .moments import isserlis_moment
 from .textio import atomic_write, fmt, fmt_complex, matrix_lines
 
-DEFAULT_PSD_RTOL = 1.0e-10
 HERMITICITY_RTOL = 1.0e-12
 WITNESS_RTOL = 1.0e-8
 
@@ -165,7 +165,7 @@ def _certify(
 def pd_gram_certificate(
     functional: Callable[[TestFunction], complex],
     functions: Sequence[TestFunction],
-    rtol: float = DEFAULT_PSD_RTOL,
+    rtol: float = PSD_RTOL,
 ) -> PsdCertificate:
     """Certify gram[k][l] = S(f_k - conj(f_l)) over a complex family."""
     if len(functions) == 0:
@@ -186,7 +186,7 @@ def pd_gram_certificate(
 def rp_gram_certificate(
     functional: Callable[[TestFunction], complex],
     functions: Sequence[TestFunction],
-    rtol: float = DEFAULT_PSD_RTOL,
+    rtol: float = PSD_RTOL,
 ) -> PsdCertificate:
     """Certify gram[k][l] = S(reflect(f_k) - f_l) over a positive-time family."""
     if len(functions) == 0:
@@ -324,7 +324,7 @@ def find_rp_violation(
     mass: float,
     omegas: Sequence[float],
     scales: Sequence[float],
-    rtol: float = DEFAULT_PSD_RTOL,
+    rtol: float = PSD_RTOL,
 ):
     """Scan the cosine-damped kernel for a reflection-positivity violation.
 

@@ -228,17 +228,26 @@ def _pairing(
     )
 
 
+def _pairing_matrix(
+    measure: GaussianEuclideanMeasure,
+    left: Sequence[ObservableFunctional],
+    right: Sequence[ObservableFunctional],
+) -> np.ndarray:
+    """Complex M[j,k] = <left_j, right_k>, each functional's sites resolved once."""
+    lattice = measure.lattice
+    left_sites = [_sites(lattice, f, reflect=True) for f in left]
+    right_sites = [_sites(lattice, g) for g in right]
+    M = np.zeros((len(left), len(right)), dtype=complex)
+    for j, f in enumerate(left):
+        for k, g in enumerate(right):
+            M[j, k] = _pairing(measure, f, left_sites[j], g, right_sites[k])
+    return M
+
+
 def reflected_gram(
     measure: GaussianEuclideanMeasure, basis: Sequence[ObservableFunctional]
 ) -> np.ndarray:
-    lattice = measure.lattice
-    left = [_sites(lattice, f, reflect=True) for f in basis]
-    right = [_sites(lattice, f) for f in basis]
-    n = len(basis)
-    G = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            G[j, k] = _pairing(measure, basis[j], left[j], basis[k], right[k])
+    G = _pairing_matrix(measure, basis, basis)
     if np.max(np.abs(G.imag)) == 0.0:
         G = G.real
     return G
@@ -264,8 +273,12 @@ class ReconstructedSpace:
     to_physical: np.ndarray
     vacuum: np.ndarray
 
-    def kept(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.eigenvalues, self.eigenvectors
+    def compress(self, M: np.ndarray) -> np.ndarray:
+        """Physical matrix of an operator whose basis pairing matrix is M:
+        lam^(-1/2) V^H M V lam^(-1/2) over the kept eigenpairs."""
+        V = self.eigenvectors
+        inv_sqrt = 1.0 / np.sqrt(self.eigenvalues)
+        return (inv_sqrt[:, None] * (V.conj().T @ M @ V)) * inv_sqrt[None, :]
 
 
 def build_physical_space(
@@ -360,17 +373,8 @@ def _shift_pairing_matrix(
                         % (fmt(dt), fmt(t), fmt(lattice.max_time))
                     )
         shifted.append(g)
-    left = [_sites(lattice, f, reflect=True) for f in space.basis]
-    right = [_sites(lattice, g) for g in shifted]
-    n = len(space.basis)
-    M = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            M[j, k] = _pairing(measure, space.basis[j], left[j], shifted[k], right[k])
-    self_norms = np.array([
-        _pairing(measure, g, _sites(lattice, g, reflect=True), g, right[k]).real
-        for k, g in enumerate(shifted)
-    ])
+    M = _pairing_matrix(measure, space.basis, shifted)
+    self_norms = np.array([_pairing_matrix(measure, [g], [g])[0, 0].real for g in shifted])
     if np.max(np.abs(M.imag)) == 0.0:
         M = M.real
     return M, self_norms
@@ -401,14 +405,12 @@ def transfer_operator(
     if step < 0:
         raise ShiftRangeError("transfer step must be nonnegative")
     M, self_norms = _shift_pairing_matrix(space, step)
-    lam, V = space.kept()
-    inv_sqrt = 1.0 / np.sqrt(lam)
-    T = (inv_sqrt[:, None] * (V.conj().T @ M @ V)) * inv_sqrt[None, :]
-    T = np.real_if_close(T, tol=100)
+    T = np.real_if_close(space.compress(M), tol=100)
     if exact:
         # projection coefficients b solve G b = M[:,k] on the kept space;
         # the projected norm must exhaust the shifted functional's norm
-        proj = (V.conj().T @ M) * inv_sqrt[:, None]
+        inv_sqrt = 1.0 / np.sqrt(space.eigenvalues)
+        proj = (space.eigenvectors.conj().T @ M) * inv_sqrt[:, None]
         captured = np.real(np.sum(np.conj(proj) * proj, axis=0))
         for k in range(M.shape[1]):
             ref = max(self_norms[k], 1.0e-300)
@@ -491,23 +493,17 @@ def multiplication_operator(
     lattice = space.measure.lattice
     tau = 0.5 * lattice.spacing if at_time is None else float(at_time)
     lattice.index_of_time(tau)
-    left = [_sites(lattice, f, reflect=True) for f in space.basis]
-    n = len(space.basis)
-    M = np.zeros((n, n), dtype=complex)
-    for k, fk in enumerate(space.basis):
-        if fk.kind != KIND_MONOMIAL:
-            raise ValueError("multiplication compression requires monomial basis")
-        for d, coeff in enumerate(coefficients):
-            if coeff == 0.0:
-                continue
-            target = monomial(fk.times + (tau,), fk.degrees + (d,)) if d else fk
-            target_sites = _sites(lattice, target)
-            for j, fj in enumerate(space.basis):
-                M[j, k] += coeff * _pairing(space.measure, fj, left[j], target, target_sites)
-    lam, V = space.kept()
-    inv_sqrt = 1.0 / np.sqrt(lam)
-    A = (inv_sqrt[:, None] * (V.conj().T @ M @ V)) * inv_sqrt[None, :]
-    return np.real_if_close(A, tol=100)
+    basis = space.basis
+    if any(f.kind != KIND_MONOMIAL for f in basis):
+        raise ValueError("multiplication compression requires monomial basis")
+    # M stays complex even when its entries are real: the real product
+    # V^H M V takes another BLAS path and rounds differently
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for d, coeff in enumerate(coefficients):
+        if coeff != 0.0:
+            targets = [monomial(f.times + (tau,), f.degrees + (d,)) if d else f for f in basis]
+            M += coeff * _pairing_matrix(space.measure, basis, targets)
+    return np.real_if_close(space.compress(M), tol=100)
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,6 @@ def fmt_complex(z: complex) -> str:
     return "(%s,%s)" % (fmt(z.real), fmt(z.imag))
 
 
-def parse_complex(tok: str) -> complex:
-    tok = tok.strip()
-    if tok.startswith("(") and tok.endswith(")"):
-        re_s, im_s = tok[1:-1].split(",")
-        return complex(float(re_s), float(im_s))
-    return complex(float(tok), 0.0)
-
-
 def matrix_lines(mat, complex_entries: bool = False) -> list[str]:
     rows = []
     for row in mat:

@@ -1,10 +1,23 @@
 """Command-line interface: exit codes, reports, determinism."""
 import os
+import re
 
 import numpy as np
 import pytest
 
-from oslab.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from oslab import cli
+from oslab.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_USAGE,
+    MATH_ERRORS,
+    SUITE_CHECKS,
+    ConfigError,
+    main,
+)
+from oslab.lattice import LatticeMismatchError
+from oslab.positivity import DplusMembershipError
+from oslab.reconstruction import ShiftRangeError
 
 
 def run(tmp_path, *args, sub=""):
@@ -263,12 +276,99 @@ def test_suite_byte_identical(tmp_path):
     assert (a / "suite_summary.txt").read_bytes() == (b / "suite_summary.txt").read_bytes()
 
 
-def test_suite_injected_failure_is_loud(tmp_path):
-    rc, out = run(tmp_path, "suite", "--inject-failure", "reconstruction-spectrum")
+@pytest.mark.parametrize("name", SUITE_CHECKS)
+def test_suite_injected_failure_is_loud(tmp_path, name):
+    rc, out = run(tmp_path, "suite", "--inject-failure", name)
     assert rc == EXIT_CHECK_FAILED
     text = (out / "suite_summary.txt").read_text()
-    assert "check reconstruction-spectrum: FAIL" in text
+    failed = [line for line in text.splitlines() if ": FAIL" in line]
+    assert failed == ["check %s: FAIL (injected failure (diagnostic))" % name]
+    assert "failed: 1/%d" % len(SUITE_CHECKS) in text
     assert "verdict: fail" in text
+
+
+def _fields(path):
+    """key: value lines of a report, first occurrence wins."""
+    fields = {}
+    for line in path.read_text().splitlines():
+        key, sep, value = line.partition(": ")
+        if sep:
+            fields.setdefault(key, value)
+    return fields
+
+
+def _suite_numbers(text, name):
+    """The numbers in a suite check's detail, in order."""
+    line = next(l for l in text.splitlines() if l.startswith("check %s:" % name))
+    detail = line.split(" (", 1)[1]
+    return [float(tok) for tok in re.findall(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", detail)]
+
+
+def test_suite_agrees_with_subcommands(tmp_path):
+    # suite and the subcommands share their check code, so with one config
+    # the suite's six-digit details equal the subcommands' reported figures
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_points: 24\nmass: 0.8\nseed: 5\nfamilies: 3\nfamily_size: 4\n")
+    args = ("--config", str(cfg))
+    _, suite = run(tmp_path, "suite", *args, sub="suite")
+    text = (suite / "suite_summary.txt").read_text()
+    assert "verdict: pass" in text
+
+    def same(suite_value, report_value):
+        assert suite_value == pytest.approx(float(report_value), rel=1e-5, abs=0.0)
+
+    assert run(tmp_path, "reconstruct", *args, sub="rec")[0] == EXIT_OK
+    rec = _fields(tmp_path / "rec" / "reconstruct_report.txt")
+    gap_dev, vacuum = _suite_numbers(text, "reconstruction-spectrum")
+    same(gap_dev, rec["gap_deviation"])
+    same(vacuum, rec["vacuum_energy_norm"])
+
+    assert run(tmp_path, "rp-check", *args, sub="rp")[0] == EXIT_OK
+    sections = (tmp_path / "rp" / "rp_check_report.txt").read_text().split("\n[")[1:]
+    worst = {"pd": np.inf, "rp": np.inf}
+    for section in sections:
+        label = section.split("]", 1)[0]
+        cert = dict(l.split(": ", 1) for l in section.splitlines()[1:] if ": " in l)
+        kind = label.split()[0]
+        worst[kind] = min(worst[kind], float(cert["min_eigenvalue"]) / float(cert["norm"]))
+    assert len(sections) == 6
+    for kind in ("pd", "rp"):
+        families, relative = _suite_numbers(text, "%s-certificates" % kind)
+        assert families == 3
+        same(relative, worst[kind])
+
+    assert run(tmp_path, "cdual", *args, sub="cdual")[0] == EXIT_OK
+    cdual = _fields(tmp_path / "cdual" / "cdual_report.txt")
+    jacobi, double, compact = _suite_numbers(text, "cdual-involution")
+    same(jacobi, cdual["dual_jacobi_residual"])
+    same(double, cdual["double_dual_residual"])
+    same(compact, cdual["su2_match_residual"])
+
+    assert run(tmp_path, "cone-check", *args, sub="cone")[0] == EXIT_OK
+    cone = _fields(tmp_path / "cone" / "cone_check_report.txt")
+    same(_suite_numbers(text, "cone-hyperbolic")[0], cone["invariance_residual"])
+    rate, worst_residual, wedge = _suite_numbers(text, "semigroup-membership")
+    same(rate, cone["membership_rate"])
+    same(worst_residual, cone["membership_worst_residual"])
+    same(wedge, cone["wedge_control_rate"])
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(cls, EXIT_CHECK_FAILED) for cls in MATH_ERRORS]
+    + [(cls, EXIT_USAGE) for cls in (
+        ConfigError, ShiftRangeError, LatticeMismatchError, DplusMembershipError, ValueError)],
+)
+def test_exit_code_follows_the_error_class(tmp_path, monkeypatch, capsys, error, code):
+    # a mathematical failure exits 1, every other value error is a usage error
+    def fail(*_args, **_kwargs):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "load_config", fail)
+    rc, _ = run(tmp_path, "rp-check")
+    assert rc == code
+    prefix = "check failed: " if code == EXIT_CHECK_FAILED else "error: "
+    assert capsys.readouterr().err == prefix + "raised on purpose\n"
 
 
 def test_suite_unknown_injection_is_usage_error(tmp_path):

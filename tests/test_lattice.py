@@ -19,7 +19,6 @@ from oslab.lattice import (
     measure_to_text,
     ou_covariance,
     sample_path_matrix,
-    sample_paths,
 )
 
 SEED = 20260822
@@ -171,14 +170,6 @@ def test_sampling_reproducible_and_seed_sensitive():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         sample_path_matrix(m, 0, seed=SEED)
-
-
-def test_sample_paths_wrap():
-    lat = TimeLattice(8, 0.5)
-    m = ou_covariance(1.0, lat)
-    paths = sample_paths(m, 3, seed=SEED)
-    assert len(paths) == 3
-    assert paths[0].values.shape == (8,)
 
 
 def test_empirical_covariance_converges():
