@@ -18,7 +18,9 @@ Reports are plain text written atomically; tables carry 17 significant
 digits, summaries 6.  With a fixed seed and config, repeated runs produce
 byte-identical files: no timestamps, no absolute paths, fixed iteration
 order.  suite computes each check with the helper its subcommand uses, so
-its summary numbers are the subcommands' numbers.
+its summary numbers are the subcommands' numbers; a suite check that
+raises one of MATH_ERRORS gets a FAIL line with the error, and the other
+checks still run.
 
 Configuration is a key: value text file; command-line flags win over file
 values.  The default output directory comes from --out, then the
@@ -30,6 +32,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -705,140 +708,163 @@ def cmd_cone_check(cfg: RunConfig, quiet: bool = False) -> int:
 
 # -- suite --------------------------------------------------------------------
 
-SUITE_CHECKS = (
-    "covariance-psd",
-    "stationarity-reflection",
-    "pd-certificates",
-    "rp-certificates",
-    "non-rp-control",
-    "corrupted-control",
-    "sampled-rp",
-    "reconstruction-spectrum",
-    "contraction-semigroup",
-    "npoint-identity",
-    "reflection-intertwining",
-    "cdual-involution",
-    "cone-hyperbolic",
-    "semigroup-membership",
-    "commutant-dimension",
-)
+class _SuiteInputs:
+    """What several suite checks share, each part built on first use: a
+    part whose construction raises fails the check that asked for it, and
+    the next check that needs it tries again."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.lattice = TimeLattice(cfg.n_points, cfg.spacing)
+        self.t_pos = self.lattice.times[self.lattice.positive_indices]
+        self._transfers: dict = {}
+
+    @cached_property
+    def ou(self):
+        return ou_covariance(self.cfg.mass, self.lattice)
+
+    @cached_property
+    def ff(self):
+        return free_field_covariance(self.cfg.mass, self.lattice)
+
+    @cached_property
+    def families(self):
+        return _family_certificates(self.cfg, self.lattice, self.ou.generating_functional,
+                                    PSD_RTOL)
+
+    @cached_property
+    def space(self):
+        return build_physical_space(self.ou, times=_basis_times(self.cfg, self.lattice),
+                                    max_degree=self.cfg.max_degree)
+
+    def transfer(self, steps: int) -> np.ndarray:
+        """The transfer operator over `steps` lattice spacings, built once."""
+        if steps not in self._transfers:
+            self._transfers[steps] = transfer_operator(self.space, steps * self.cfg.spacing)
+        return self._transfers[steps]
 
 
-def _suite_results(cfg: RunConfig):
-    """Run every suite check; returns [(name, passed, detail)] in fixed order."""
-    lattice = TimeLattice(cfg.n_points, cfg.spacing)
-    ou = ou_covariance(cfg.mass, lattice)
-    ff = free_field_covariance(cfg.mass, lattice)
-    results = []
-
+def _check_covariance_psd(run: _SuiteInputs):
     margins = []
-    for m in (ou, ff):
+    for m in (run.ou, run.ff):
         w = np.linalg.eigvalsh(m.covariance)
-        margins.append(float(w[0] / np.linalg.norm(m.covariance, 2)))
-    ok = all(v >= -PSD_RTOL for v in margins)
-    results.append(("covariance-psd", ok,
-                    "min eig over norm: %s" % " ".join(fmt6(v) for v in margins)))
+        # the spectral norm of a symmetric matrix is its largest |eigenvalue|
+        margins.append(float(w[0] / np.max(np.abs(w))))
+    return (all(v >= -PSD_RTOL for v in margins),
+            "min eig over norm: %s" % " ".join(fmt6(v) for v in margins))
 
-    st_ou, dev_ou = check_stationarity(ou)
-    sym_ou, _ = check_time_reflection_symmetry(ou)
-    sym_ff, _ = check_time_reflection_symmetry(ff)
-    _, dev_ff = check_stationarity(ff)
-    ok = st_ou and sym_ou and sym_ff
-    results.append(("stationarity-reflection", ok,
-                    "ou deviation %s, boundary-pinned deviation %s reported"
-                    % (fmt6(dev_ou), fmt6(dev_ff))))
 
-    families = _family_certificates(cfg, lattice, ou.generating_functional, PSD_RTOL)
-    for name, certs in zip(("pd-certificates", "rp-certificates"), families):
-        ok = all(c.verdict == "positive" for c in certs)
-        worst = min(c.min_eigenvalue / c.norm for c in certs)
-        results.append((name, ok,
-                        "%d families, worst relative min eig %s" % (len(certs), fmt6(worst))))
+def _check_stationarity_reflection(run: _SuiteInputs):
+    st_ou, dev_ou = check_stationarity(run.ou)
+    sym_ou, _ = check_time_reflection_symmetry(run.ou)
+    sym_ff, _ = check_time_reflection_symmetry(run.ff)
+    _, dev_ff = check_stationarity(run.ff)
+    return (st_ou and sym_ou and sym_ff,
+            "ou deviation %s, boundary-pinned deviation %s reported"
+            % (fmt6(dev_ou), fmt6(dev_ff)))
 
-    cosine = cosine_damped_covariance(cfg.mass, NON_RP_OMEGA, lattice)
-    cert = rp_gram_certificate(cosine.generating_functional, _spike_family(lattice))
-    results.append(("non-rp-control", cert.verdict == "indefinite",
-                    "cosine kernel min eig %s (indefinite expected)" % fmt6(cert.min_eigenvalue)))
 
-    cert = pd_gram_certificate(corrupted_functional(ou), _corrupted_fixture(lattice))
-    results.append(("corrupted-control", cert.verdict == "indefinite",
-                    "corrupted functional min eig %s (indefinite expected)"
-                    % fmt6(cert.min_eigenvalue)))
+def _family_verdict(certs):
+    return (all(c.verdict == "positive" for c in certs),
+            "%d families, worst relative min eig %s"
+            % (len(certs), fmt6(min(c.min_eigenvalue / c.norm for c in certs))))
 
-    t_pos = lattice.times[lattice.positive_indices]
+
+def _check_non_rp_control(run: _SuiteInputs):
+    cosine = cosine_damped_covariance(run.cfg.mass, NON_RP_OMEGA, run.lattice)
+    cert = rp_gram_certificate(cosine.generating_functional, _spike_family(run.lattice))
+    return (cert.verdict == "indefinite",
+            "cosine kernel min eig %s (indefinite expected)" % fmt6(cert.min_eigenvalue))
+
+
+def _check_corrupted_control(run: _SuiteInputs):
+    cert = pd_gram_certificate(corrupted_functional(run.ou), _corrupted_fixture(run.lattice))
+    return (cert.verdict == "indefinite",
+            "corrupted functional min eig %s (indefinite expected)" % fmt6(cert.min_eigenvalue))
+
+
+def _check_sampled_rp(run: _SuiteInputs):
+    t0, t1 = float(run.t_pos[0]), float(run.t_pos[1])
     obs = [
-        SampledObservable(((float(t_pos[0]), "q"),)),
-        SampledObservable(((float(t_pos[1]), "q"),)),
-        SampledObservable(((float(t_pos[0]), "q2"),)),
-        SampledObservable(((float(t_pos[0]), "tanh"),)),
+        SampledObservable(((t0, "q"),)),
+        SampledObservable(((t1, "q"),)),
+        SampledObservable(((t0, "q2"),)),
+        SampledObservable(((t0, "tanh"),)),
     ]
-    n_mc = cfg.samples if cfg.samples > 0 else 2000
-    cert = rp_sampled_certificate(ou, obs, n_mc, cfg.seed)
-    results.append(("sampled-rp", cert.verdict == "positive",
-                    "%d paths, min eig %s (se %s)"
-                    % (n_mc, fmt6(cert.min_eigenvalue), fmt6(cert.min_eigenvalue_se))))
+    n_mc = run.cfg.samples if run.cfg.samples > 0 else 2000
+    cert = rp_sampled_certificate(run.ou, obs, n_mc, run.cfg.seed)
+    return (cert.verdict == "positive",
+            "%d paths, min eig %s (se %s)"
+            % (n_mc, fmt6(cert.min_eigenvalue), fmt6(cert.min_eigenvalue_se)))
 
-    space = build_physical_space(ou, times=_basis_times(cfg, lattice), max_degree=cfg.max_degree)
-    T = transfer_operator(space, cfg.spacing)
-    _, _, gap_dev, vac = _ladder(space, T, cfg.spacing, cfg.mass)
-    results.append(("reconstruction-spectrum", gap_dev <= REL_DEV_TOL and vac <= RESIDUAL_TOL,
-                    "gap deviation %s, vacuum energy %s" % (fmt6(gap_dev), fmt6(vac))))
 
+def _check_reconstruction_spectrum(run: _SuiteInputs):
+    _, _, gap_dev, vac = _ladder(run.space, run.transfer(1), run.cfg.spacing, run.cfg.mass)
+    return (gap_dev <= REL_DEV_TOL and vac <= RESIDUAL_TOL,
+            "gap deviation %s, vacuum energy %s" % (fmt6(gap_dev), fmt6(vac)))
+
+
+def _check_contraction_semigroup(run: _SuiteInputs):
     norm_excess = 0.0
     semi = 0.0
-    for a_mult, b_mult in ((1, 1), (1, 2), (2, 2)):
-        Ta = transfer_operator(space, a_mult * cfg.spacing)
-        Tb = transfer_operator(space, b_mult * cfg.spacing)
-        Tab = transfer_operator(space, (a_mult + b_mult) * cfg.spacing)
+    for a, b in ((1, 1), (1, 2), (2, 2)):
+        Ta = run.transfer(a)
         norm_excess = max(norm_excess, float(np.linalg.norm(Ta, 2)) - 1.0)
-        semi = max(semi, float(np.max(np.abs(Ta @ Tb - Tab))))
-    ok = norm_excess <= CONTRACTION_TOL and semi <= RESIDUAL_TOL
-    results.append(("contraction-semigroup", ok,
-                    "worst norm excess %s, semigroup residual %s" % (fmt6(norm_excess), fmt6(semi))))
+        semi = max(semi, float(np.max(np.abs(Ta @ run.transfer(b) - run.transfer(a + b)))))
+    return (norm_excess <= CONTRACTION_TOL and semi <= RESIDUAL_TOL,
+            "worst norm excess %s, semigroup residual %s" % (fmt6(norm_excess), fmt6(semi)))
 
-    t0 = float(t_pos[0])
-    h = cfg.spacing
-    np_space = build_physical_space(ou, times=(t0,), max_degree=4)
+
+def _check_npoint_identity(run: _SuiteInputs):
+    t0 = float(run.t_pos[0])
+    h = run.cfg.spacing
+    np_space = build_physical_space(run.ou, times=(t0,), max_degree=4)
     rep2 = verify_npoint_identity(np_space, (t0, t0 + h), (1, 1))
     rep4 = verify_npoint_identity(np_space, (t0, t0 + h, t0 + 2 * h, t0 + 3 * h), (1, 1, 1, 1))
-    worst = max(rep2.operator_vs_wick, rep4.operator_vs_wick)
-    results.append(("npoint-identity", worst <= REL_DEV_TOL,
-                    "two- and four-point rel dev %s, %s"
-                    % (fmt6(rep2.operator_vs_wick), fmt6(rep4.operator_vs_wick))))
+    return (max(rep2.operator_vs_wick, rep4.operator_vs_wick) <= REL_DEV_TOL,
+            "two- and four-point rel dev %s, %s"
+            % (fmt6(rep2.operator_vs_wick), fmt6(rep4.operator_vs_wick)))
 
-    rep = check_reflection_intertwining(ou, max_degree=2, shifts=(1, 2))
-    broken_rep = check_reflection_intertwining(ou, max_degree=2, shifts=(1,), break_reflection=True)
-    ok = (rep.involution_defect == 0.0 and rep.intertwining_defect <= RESIDUAL_TOL
-          and rep.unitarity_defect <= RESIDUAL_TOL and broken_rep.intertwining_defect >= 0.1)
-    results.append(("reflection-intertwining", ok,
-                    "defects %s / %s, broken control %s"
-                    % (fmt6(rep.intertwining_defect), fmt6(rep.unitarity_defect),
-                       fmt6(broken_rep.intertwining_defect))))
 
+def _check_reflection_intertwining(run: _SuiteInputs):
+    rep = check_reflection_intertwining(run.ou, max_degree=2, shifts=(1, 2))
+    broken = check_reflection_intertwining(run.ou, max_degree=2, shifts=(1,),
+                                           break_reflection=True)
+    return (rep.involution_defect == 0.0 and rep.intertwining_defect <= RESIDUAL_TOL
+            and rep.unitarity_defect <= RESIDUAL_TOL and broken.intertwining_defect >= 0.1,
+            "defects %s / %s, broken control %s"
+            % (fmt6(rep.intertwining_defect), fmt6(rep.unitarity_defect),
+               fmt6(broken.intertwining_defect)))
+
+
+def _check_cdual_involution(run: _SuiteInputs):
     algebra, tau = liealg.builtin_algebra("sl2R-cartan")
     _, _, _, jac, double_res, su2_res = _double_dual("sl2R-cartan", algebra, tau)
-    ok = (jac <= liealg.STRUCTURE_TOL and double_res <= liealg.STRUCTURE_TOL
-          and su2_res <= SU2_MATCH_TOL)
-    results.append(("cdual-involution", ok,
-                    "jacobi %s, double dual %s, compact match %s"
-                    % (fmt6(jac), fmt6(double_res), fmt6(su2_res))))
+    return (jac <= liealg.STRUCTURE_TOL and double_res <= liealg.STRUCTURE_TOL
+            and su2_res <= SU2_MATCH_TOL,
+            "jacobi %s, double dual %s, compact match %s"
+            % (fmt6(jac), fmt6(double_res), fmt6(su2_res)))
 
+
+def _check_cone_hyperbolic(run: _SuiteInputs):
     c_split, c_cone = liealg.builtin_cone()
-    c_rep = liealg.hyperbolic_cone_check(c_split, c_cone, h_samples=8, seed=cfg.seed)
+    c_rep = liealg.hyperbolic_cone_check(c_split, c_cone, h_samples=8, seed=run.cfg.seed)
     n_split, n_cone = liealg.nilpotent_control_cone()
-    n_rep = liealg.hyperbolic_cone_check(n_split, n_cone, h_samples=2, seed=cfg.seed)
+    n_rep = liealg.hyperbolic_cone_check(n_split, n_cone, h_samples=2, seed=run.cfg.seed)
     control_named = any("nilpotent" in pc.reason for pc in n_rep.point_checks)
-    ok = not _cone_failures(c_rep) and not n_rep.all_hyperbolic and control_named
-    results.append(("cone-hyperbolic", ok,
-                    "invariance residual %s; nilpotent control rejected: %s"
-                    % (fmt6(c_rep.invariance_residual), "yes" if control_named else "no")))
+    return (not _cone_failures(c_rep) and not n_rep.all_hyperbolic and control_named,
+            "invariance residual %s; nilpotent control rejected: %s"
+            % (fmt6(c_rep.invariance_residual), "yes" if control_named else "no"))
 
-    mem, wedge, failures = _membership(cfg)
-    results.append(("semigroup-membership", not failures and wedge.success_rate < 1.0,
-                    "quadrant rate %s worst %s; wedge control rate %s"
-                    % (fmt6(mem.success_rate), fmt6(mem.worst_residual),
-                       fmt6(wedge.success_rate))))
 
+def _check_semigroup_membership(run: _SuiteInputs):
+    mem, wedge, failures = _membership(run.cfg)
+    return (not failures and wedge.success_rate < 1.0,
+            "quadrant rate %s worst %s; wedge control rate %s"
+            % (fmt6(mem.success_rate), fmt6(mem.worst_residual), fmt6(wedge.success_rate)))
+
+
+def _check_commutant_dimension(run: _SuiteInputs):
     H, E, F = liealg.SL2_H, liealg.SL2_E, liealg.SL2_F
     cases = (
         ([H, E, F], 1),
@@ -847,10 +873,48 @@ def _suite_results(cfg: RunConfig):
         ([np.diag([1.0, 2.0, 3.0])], 3),
     )
     got = [liealg.commutant_dimension(mats) for mats, _ in cases]
-    ok = all(g == want for g, (_, want) in zip(got, cases))
-    results.append(("commutant-dimension", ok,
-                    "dimensions %s" % " ".join(str(g) for g in got)))
+    return (all(g == want for g, (_, want) in zip(got, cases)),
+            "dimensions %s" % " ".join(str(g) for g in got))
 
+
+# every suite check, in report order; each returns (passed, detail)
+SUITE_CHECKS = {
+    "covariance-psd": _check_covariance_psd,
+    "stationarity-reflection": _check_stationarity_reflection,
+    "pd-certificates": lambda run: _family_verdict(run.families[0]),
+    "rp-certificates": lambda run: _family_verdict(run.families[1]),
+    "non-rp-control": _check_non_rp_control,
+    "corrupted-control": _check_corrupted_control,
+    "sampled-rp": _check_sampled_rp,
+    "reconstruction-spectrum": _check_reconstruction_spectrum,
+    "contraction-semigroup": _check_contraction_semigroup,
+    "npoint-identity": _check_npoint_identity,
+    "reflection-intertwining": _check_reflection_intertwining,
+    "cdual-involution": _check_cdual_involution,
+    "cone-hyperbolic": _check_cone_hyperbolic,
+    "semigroup-membership": _check_semigroup_membership,
+    "commutant-dimension": _check_commutant_dimension,
+}
+
+
+def _suite_results(cfg: RunConfig, inject_failure: str | None = None):
+    """Run every suite check; returns [(name, passed, detail)] in fixed order.
+
+    A check that raises one of MATH_ERRORS fails with the error in its
+    detail, and the other checks still run.  The check named by
+    inject_failure is reported failed without being run.
+    """
+    run = _SuiteInputs(cfg)
+    results = []
+    for name, check in SUITE_CHECKS.items():
+        if name == inject_failure:
+            passed, detail = False, "injected failure (diagnostic)"
+        else:
+            try:
+                passed, detail = check(run)
+            except MATH_ERRORS as exc:
+                passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
+        results.append((name, passed, detail))
     return results
 
 
@@ -860,13 +924,7 @@ def cmd_suite(cfg: RunConfig, quiet: bool = False, inject_failure: str | None = 
         raise ConfigError(
             "unknown check %r; choose from %s" % (inject_failure, ", ".join(SUITE_CHECKS))
         )
-    results = _suite_results(cfg)
-    if inject_failure is not None:
-        results = [
-            (name, False, "injected failure (diagnostic)") if name == inject_failure
-            else (name, passed, detail)
-            for name, passed, detail in results
-        ]
+    results = _suite_results(cfg, inject_failure)
 
     n_failed = sum(1 for _, passed, _ in results if not passed)
     lines = ["format: oslab-suite v1"]

@@ -6,14 +6,18 @@ banded boundary-value solve instead of a closed-form kernel, quadrature
 diagonalization of the continuum step kernel instead of lattice
 compression, the hand-expanded three-pairing sum instead of the recursive
 moment evaluator, a sum over all subsets of factors instead of the
-non-centred recursion for sourced moments, and exact rational rank instead
-of an SVD threshold.
+non-centred recursion for sourced moments, exact rational rank instead
+of an SVD threshold, and dense permutation matrices with an entrywise
+Isserlis gram instead of index maps with a closed-form gram.
 Tests freeze values produced here and compare package output against them.
 """
 import itertools
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from oslab.moments import isserlis_moment
+from oslab.reconstruction import IntertwiningReport
 
 
 # -- explicit 4x4 inversion ---------------------------------------------------
@@ -270,3 +274,64 @@ def sl2_structure_from_matrices():
         for j in range(3):
             c[i, j] = expand(basis[i] @ basis[j] - basis[j] @ basis[i])
     return c
+
+
+# -- reflection / shift intertwining with dense matrices ----------------------
+
+def dense_reflection_intertwining(measure, max_degree=2, shifts=(1, 2), break_reflection=False):
+    """Verify J^2 = id and J U(t) = U(-t) J on single-site monomials.
+
+    The reference for reconstruction.check_reflection_intertwining: J, U(s)
+    and U(-s) as dense N x N matrices, N = n * max_degree, and the gram
+    filled by one isserlis_moment call per entry.
+
+    The family is q(t_j)^d over every site and 1 <= d <= max_degree.  Shifts
+    and reflection act as index permutations, restricted to members whose
+    shifted support stays on the grid; the Gram E[conj(F_j) F_k] supplies
+    the Wick-level unitarity checks.  break_reflection flips the sign of
+    one basis vector inside J, the documented negative control: the
+    intertwining residual should then be of order one.
+    """
+    lattice = measure.lattice
+    n = lattice.n_points
+    family = [(j, d) for d in range(1, max_degree + 1) for j in range(n)]
+    index = {fd: i for i, fd in enumerate(family)}
+    N = len(family)
+
+    J = np.zeros((N, N))
+    for (j, d), i in index.items():
+        J[index[(lattice.reflect_index(j), d)], i] = 1.0
+    if break_reflection:
+        J[:, index[(n - 1, 1)]] *= -1.0
+
+    inv_defect = float(np.max(np.abs(J @ J - np.eye(N))))
+
+    G = np.zeros((N, N))
+    for (j, dj), a in index.items():
+        for (k, dk), b in index.items():
+            G[a, b] = isserlis_moment(
+                measure.covariance, [j] * dj + [k] * dk, memo=measure.moment_memo
+            )
+
+    inter = 0.0
+    unit = float(np.max(np.abs(J.T @ G @ J - G))) / (float(np.max(np.abs(G))) or 1.0)
+    for s in shifts:
+        ok = [i for (j, d), i in index.items() if 0 <= j + s < n and 0 <= j - s < n]
+        U = np.zeros((N, N))
+        Um = np.zeros((N, N))
+        for (j, d), i in index.items():
+            if 0 <= j + s < n:
+                U[index[(j + s, d)], i] = 1.0
+            if 0 <= j - s < n:
+                Um[index[(j - s, d)], i] = 1.0
+        D = (J @ U - Um @ J)[:, ok]
+        inter = max(inter, float(np.max(np.abs(D))) if D.size else 0.0)
+        sub = np.ix_(ok, ok)
+        GU = (U.T @ G @ U)[sub]
+        unit = max(unit, float(np.max(np.abs(GU - G[sub]))) / (float(np.max(np.abs(G))) or 1.0))
+    return IntertwiningReport(
+        involution_defect=inv_defect,
+        intertwining_defect=inter,
+        unitarity_defect=unit,
+        shifts_checked=tuple(int(s) for s in shifts),
+    )

@@ -371,6 +371,27 @@ def test_exit_code_follows_the_error_class(tmp_path, monkeypatch, capsys, error,
     assert capsys.readouterr().err == prefix + "raised on purpose\n"
 
 
+def test_suite_check_that_raises_fails_alone(tmp_path):
+    # at this mass the degree-4 transfer norm overshoots 1 by 2e-10, a
+    # round-off failure of the raw null cut, and transfer_operator raises
+    # OperatorBoundError; only the two checks that build the transfer fail,
+    # and the summary is still written
+    cfg = tmp_path / "small-mass.cfg"
+    cfg.write_text("mass: 0.05\nmax_degree: 4\n")
+    rc, out = run(tmp_path, "suite", "--config", str(cfg))
+    assert rc == EXIT_CHECK_FAILED
+    text = (out / "suite_summary.txt").read_text()
+    checks = [line for line in text.splitlines() if line.startswith("check ")]
+    assert len(checks) == 15
+    failed = [line for line in checks if ": FAIL (" in line]
+    assert [line.split(":")[0] for line in failed] == [
+        "check reconstruction-spectrum", "check contraction-semigroup"]
+    assert all("FAIL (OperatorBoundError: transfer operator norm" in line for line in failed)
+    assert "check cdual-involution: PASS (" in text
+    assert "failed: 2/15" in text
+    assert "verdict: fail" in text
+
+
 def test_suite_unknown_injection_is_usage_error(tmp_path):
     rc, _ = run(tmp_path, "suite", "--inject-failure", "no-such-check")
     assert rc == EXIT_USAGE

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oslab.moments import gaussian_monomial_with_source, isserlis_moment
+from oslab.moments import gaussian_monomial_with_source, isserlis_moment, site_power_moments
 
 SEED = 20260822
 
@@ -168,3 +168,22 @@ def test_sourced_recursion_matches_subset_sum(seed, indices, complex_source):
     # in 3000 draws), so compare against the sum of the terms' magnitudes
     scale = abs(oracles.moment_with_source_subset_sum(cov, indices, src, magnitudes=True))
     assert abs(got - want) <= 1.0e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_site_power_closed_form_matches_engine(seed):
+    # within a block of even total degree every pairing term has the sign
+    # of C_jk^p with p of one parity, so the terms never cancel and an
+    # entrywise relative bound holds
+    cov = spd_from_seed(6, seed)
+    for a in range(1, 5):
+        for b in range(1, 5):
+            block = site_power_moments(cov, a, b)
+            for j in range(6):
+                for k in range(6):
+                    want = isserlis_moment(cov, [j] * a + [k] * b)
+                    if (a + b) % 2:
+                        assert block[j, k] == 0.0 == want
+                    else:
+                        assert abs(block[j, k] - want) <= 1.0e-13 * abs(want)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from oslab import reconstruction
 from oslab.lattice import (
+    GaussianEuclideanMeasure,
     TestFunction,
     TimeLattice,
     cosine_damped_covariance,
@@ -263,6 +264,65 @@ def test_reflection_intertwining_broken_control_is_loud():
     m = ou_covariance(1.0, LAT)
     rep = check_reflection_intertwining(m, max_degree=2, shifts=(1, 2), break_reflection=True)
     assert rep.intertwining_defect > 0.1
+
+
+def _random_psd_measure(lattice, seed):
+    a = np.random.default_rng(seed).standard_normal((lattice.n_points, lattice.n_points))
+    return GaussianEuclideanMeasure(lattice, a @ a.T / lattice.n_points, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from(("ou", "free-field", "cosine", "random")),
+    half=st.integers(2, 32),
+    spacing=st.sampled_from((0.1, 0.25, 0.5)),
+    mass=st.floats(0.2, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    max_degree=st.integers(1, 3),
+    break_reflection=st.booleans(),
+    data=st.data(),
+)
+def test_intertwining_index_maps_match_dense_oracle(
+    kernel, half, spacing, mass, seed, max_degree, break_reflection, data
+):
+    lat = TimeLattice(2 * half, spacing)
+    m = {
+        "ou": lambda: ou_covariance(mass, lat),
+        "free-field": lambda: free_field_covariance(mass, lat),
+        "cosine": lambda: cosine_damped_covariance(mass, 4.0, lat),
+        "random": lambda: _random_psd_measure(lat, seed),
+    }[kernel]()
+    # every shift keeps some member on the grid: |s| <= n/2 - 1
+    shifts = tuple(data.draw(st.lists(st.integers(1 - half, half - 1), min_size=1, max_size=3)))
+    got = check_reflection_intertwining(m, max_degree, shifts, break_reflection)
+    assert not m.moment_memo
+    want = oracles.dense_reflection_intertwining(m, max_degree, shifts, break_reflection)
+    assert got.involution_defect == want.involution_defect
+    assert got.intertwining_defect == want.intertwining_defect
+    # the closed-form gram sums its pairing terms in another order, so the
+    # two grams differ by rounding: 1e-12 relative to a defect above that,
+    # 1e-14 of the gram scale for one at rounding level itself (the free
+    # field under shift 0 reads ~1e-15 on both routes)
+    assert got.unitarity_defect == pytest.approx(want.unitarity_defect, rel=1.0e-12, abs=1.0e-14)
+    assert got.shifts_checked == want.shifts_checked
+
+
+def test_intertwining_rejects_a_shift_with_no_member_on_the_grid():
+    m = ou_covariance(1.0, LAT)
+    with pytest.raises(ShiftRangeError):
+        check_reflection_intertwining(m, max_degree=2, shifts=(1, 8))
+    with pytest.raises(ValueError):
+        oracles.dense_reflection_intertwining(m, max_degree=2, shifts=(1, 8))
+
+
+def test_intertwining_at_n1024_uses_no_moment_engine():
+    m = ou_covariance(1.0, TimeLattice(1024, 0.25))
+    rep = check_reflection_intertwining(m, max_degree=2, shifts=(1, 2))
+    broken = check_reflection_intertwining(m, max_degree=2, shifts=(1,), break_reflection=True)
+    assert (rep.involution_defect, rep.intertwining_defect, rep.unitarity_defect) == (0.0, 0.0, 0.0)
+    assert broken.involution_defect == 2.0
+    assert broken.intertwining_defect == 2.0
+    assert m.moment_memo == {}
 
 
 def test_space_serialization(tmp_path):
