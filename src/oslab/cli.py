@@ -605,12 +605,7 @@ def cmd_cdual(cfg: RunConfig, quiet: bool = False) -> int:
     lines.append("adapted_labels: %s" % " ".join(adapted.labels))
     lines.append("dual_labels: %s" % " ".join(dual.labels))
     lines.append("dual_structure:")
-    c = dual.structure
-    for i in range(dual.dim):
-        for j in range(dual.dim):
-            for k in range(dual.dim):
-                if c[i, j, k] != 0.0:
-                    lines.append("  %d %d %d %s" % (i, j, k, fmt(c[i, j, k])))
+    lines += liealg.structure_lines(dual.structure)
     lines.append("dual_jacobi_residual: %s" % fmt(dual_jacobi))
     lines.append("double_dual_residual: %s" % fmt(double_residual))
     if su2_residual is not None:
@@ -745,11 +740,8 @@ class _SuiteInputs:
 
 
 def _check_covariance_psd(run: _SuiteInputs):
-    margins = []
-    for m in (run.ou, run.ff):
-        w = np.linalg.eigvalsh(m.covariance)
-        # the spectral norm of a symmetric matrix is its largest |eigenvalue|
-        margins.append(float(w[0] / np.max(np.abs(w))))
+    # the spectral norm of a symmetric matrix is its largest |eigenvalue|
+    margins = [float(m.eigenvalues[0] / np.max(np.abs(m.eigenvalues))) for m in (run.ou, run.ff)]
     return (all(v >= -PSD_RTOL for v in margins),
             "min eig over norm: %s" % " ".join(fmt6(v) for v in margins))
 
@@ -918,12 +910,29 @@ def _suite_results(cfg: RunConfig, inject_failure: str | None = None):
     return results
 
 
+# the longest transfer a suite check builds: T(2) T(2) = T(4) in contraction-semigroup
+SUITE_MAX_STEPS = 4
+
+
+def _suite_fits(cfg: RunConfig, n_points: int) -> bool:
+    """Whether the suite's basis times, shifted SUITE_MAX_STEPS spacings, stay on the lattice."""
+    lattice = TimeLattice(n_points, cfg.spacing)
+    reach = max(_basis_times(cfg, lattice)) + SUITE_MAX_STEPS * cfg.spacing
+    return reach <= lattice.max_time + 1.0e-12
+
+
 def cmd_suite(cfg: RunConfig, quiet: bool = False, inject_failure: str | None = None,
               config_note: str = "built-in defaults") -> int:
     if inject_failure is not None and inject_failure not in SUITE_CHECKS:
         raise ConfigError(
             "unknown check %r; choose from %s" % (inject_failure, ", ".join(SUITE_CHECKS))
         )
+    if not _suite_fits(cfg, cfg.n_points):
+        fits = (n for n in range(cfg.n_points, 4097, 2) if _suite_fits(cfg, n))
+        raise ConfigError(
+            "suite shifts its basis times by up to %d spacings, off the lattice at n_points %d; "
+            "the smallest n_points that fits is %s"
+            % (SUITE_MAX_STEPS, cfg.n_points, next(fits, "none up to 4096")))
     results = _suite_results(cfg, inject_failure)
 
     n_failed = sum(1 for _, passed, _ in results if not passed)

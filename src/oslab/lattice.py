@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .textio import FLOAT_FMT, atomic_write, fmt, parse_kv_text
+from .textio import FLOAT_FMT, fmt, parse_kv_text
 
 # Relative floor for treating the smallest eigenvalue of a PSD matrix (a
 # covariance, a certificate gram) as a violation.
@@ -128,7 +128,9 @@ class GaussianEuclideanMeasure:
 
     The covariance is stored read-only, so moment_memo, the memo of
     source-free Isserlis moments keyed by sorted site tuple that every
-    pairing over this measure shares, never goes stale.
+    pairing over this measure shares, never goes stale.  eigenvalues is its
+    ascending eigvalsh spectrum, computed once for the PSD check and kept
+    read-only.
     """
 
     lattice: TimeLattice
@@ -137,6 +139,7 @@ class GaussianEuclideanMeasure:
     kernel: str = KERNEL_CUSTOM
     params: dict = field(default_factory=dict)
     moment_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.mass > 0.0):
@@ -157,15 +160,14 @@ class GaussianEuclideanMeasure:
         C = 0.5 * (C + C.T)
         C.setflags(write=False)
         object.__setattr__(self, "covariance", C)
-        lam_min, lam_max = self._eig_range()
+        w = np.linalg.eigvalsh(C)
+        w.setflags(write=False)
+        object.__setattr__(self, "eigenvalues", w)
+        lam_min, lam_max = float(w[0]), float(w[-1])
         if lam_min < -PSD_RTOL * max(lam_max, abs(lam_min)):
             raise CovarianceError(
                 "covariance is not positive semidefinite: min eigenvalue %.6e" % lam_min
             )
-
-    def _eig_range(self) -> tuple[float, float]:
-        w = np.linalg.eigvalsh(self.covariance)
-        return float(w[0]), float(w[-1])
 
     def generating_functional(self, f: "TestFunction") -> complex:
         return generating_functional(self, f)
@@ -439,7 +441,3 @@ def measure_from_text(text: str) -> GaussianEuclideanMeasure:
         else:
             measure = GaussianEuclideanMeasure(lattice, C, mass, kernel=KERNEL_CUSTOM)
     return measure
-
-
-def write_measure(path: str, measure: GaussianEuclideanMeasure, **kw) -> None:
-    atomic_write(path, measure_to_text(measure, **kw))

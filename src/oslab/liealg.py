@@ -9,7 +9,8 @@ anti-fixed (-1) eigenspaces,  g = h + q,  with the bracket relations
 [h,h] in h, [h,q] in q, [q,q] in h.  The c-dual keeps h and replaces q by
 i*q; in a split-adapted basis this negates the h-valued part of the
 [q,q] brackets and leaves everything else alone, and applying it twice
-returns the original structure constants.
+returns the original structure constants.  Basis changes, the Jacobi sum
+and the split's checks are pairwise contractions: O(N^5) work in dim N.
 
 Hyperbolic cone checks validate that sampled elements of a convex cone in
 q have real-diagonalizable adjoint action (real spectrum plus equal ranks
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import nnls
 
-from .textio import atomic_write, fmt, parse_kv_text
+from .textio import atomic_write, fmt, matrix_lines, parse_kv_text
 
 STRUCTURE_TOL = 1.0e-12
 EIGENVALUE_REALITY_RTOL = 1.0e-8
@@ -91,9 +92,10 @@ def validate_algebra(
     """Check antisymmetry and the Jacobi identity componentwise."""
     c = algebra.structure
     anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
-    # coefficient of X_m in [X_i,[X_j,X_k]] + cyclic
-    term = np.einsum("jkl,ilm->ijkm", c, c)
-    jac = term + np.einsum("kil,jlm->ijkm", c, c) + np.einsum("ijl,klm->ijkm", c, c)
+    # coefficient of X_m in [X_i,[X_j,X_k]] + cyclic, from one contraction
+    # cc[a,b,d,m] = sum_l c[a,b,l] c[d,l,m] read in three index orders
+    cc = np.tensordot(c, c, axes=(2, 1))
+    jac = cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3) + cc
     jac_res = float(np.max(np.abs(jac))) if c.size else 0.0
     if anti > tol:
         raise StructureError("antisymmetry residual %.3e exceeds %.1e" % (anti, tol))
@@ -102,10 +104,16 @@ def validate_algebra(
     return ValidationReport(anti, jac_res)
 
 
+def _brackets(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a_p, b_r] for every row a_p of a and b_r of b, as out[p, r, :]."""
+    ac = np.tensordot(a, c, axes=(1, 0))  # p j k
+    return np.tensordot(b, ac, axes=(1, 1)).transpose(1, 0, 2)
+
+
 def change_basis(algebra: LieAlgebra, B: np.ndarray, labels=None) -> LieAlgebra:
     """Structure constants in the basis Y_i = sum_j B[i,j] X_j."""
     Binv = np.linalg.inv(B)
-    c = np.einsum("ai,bj,ijk,ke->abe", B, B, algebra.structure, Binv)
+    c = _brackets(algebra.structure, B, B) @ Binv
     c[np.abs(c) < 1.0e-14] = 0.0
     if labels is None:
         labels = tuple("Y%d" % i for i in range(algebra.dim))
@@ -170,6 +178,12 @@ def _rref_rows(mat: np.ndarray, tol: float = 1.0e-10) -> np.ndarray:
     return basis
 
 
+def _bracket_residual(c, h, q, Ph, Pq) -> float:
+    """Largest part of [a, b] outside its subspace: [h,h], [q,q] in h; [h,q] in q."""
+    outside = [_brackets(c, a, b) @ P.T for a, b, P in ((h, h, Pq), (h, q, Ph), (q, q, Pq))]
+    return max((float(np.max(np.abs(o))) for o in outside if o.size), default=0.0)
+
+
 def split_by_involution(
     algebra: LieAlgebra, involution: Involution, tol: float = STRUCTURE_TOL
 ) -> InvolutionSplit:
@@ -186,31 +200,17 @@ def split_by_involution(
         raise InvolutionError("tau^2 differs from the identity beyond %.1e" % tol)
     c = algebra.structure
     # [tau X_i, tau X_j] versus tau([X_i, X_j])
-    lhs = np.einsum("ai,bj,abk->ijk", t, t, c)
-    rhs = np.einsum("ijl,kl->ijk", c, t)
-    if float(np.max(np.abs(lhs - rhs))) > tol:
-        raise InvolutionError(
-            "tau is not an automorphism (residual %.3e)" % float(np.max(np.abs(lhs - rhs)))
-        )
-    h = _rref_rows((0.5 * (np.eye(n) + t)).T)
-    q = _rref_rows((0.5 * (np.eye(n) - t)).T)
+    defect = float(np.max(np.abs(_brackets(c, t.T, t.T) - c @ t.T)))
+    if defect > tol:
+        raise InvolutionError("tau is not an automorphism (residual %.3e)" % defect)
+    Ph, Pq = 0.5 * (np.eye(n) + t), 0.5 * (np.eye(n) - t)
+    h, q = _rref_rows(Ph.T), _rref_rows(Pq.T)
     if h.shape[0] + q.shape[0] != n:
         raise InvolutionError(
             "eigenspaces of dimension %d + %d do not fill dimension %d"
             % (h.shape[0], q.shape[0], n)
         )
-    Pq = 0.5 * (np.eye(n) - t)
-    Ph = 0.5 * (np.eye(n) + t)
-    residual = 0.0
-    for a in h:
-        for b in h:
-            residual = max(residual, float(np.max(np.abs(Pq @ algebra.bracket(a, b)))))
-    for a in h:
-        for b in q:
-            residual = max(residual, float(np.max(np.abs(Ph @ algebra.bracket(a, b)))))
-    for a in q:
-        for b in q:
-            residual = max(residual, float(np.max(np.abs(Pq @ algebra.bracket(a, b)))))
+    residual = _bracket_residual(c, h, q, Ph, Pq)
     if residual > tol:
         raise InvolutionError("bracket relations fail by %.3e" % residual)
     return InvolutionSplit(algebra, involution, h, q, residual)
@@ -611,6 +611,11 @@ def nilpotent_control_cone() -> tuple[InvolutionSplit, ConeSample]:
 
 # -- structured text form -----------------------------------------------------
 
+def structure_lines(c: np.ndarray) -> list:
+    """One '  i j k value' line per nonzero c[i, j, k], in C order."""
+    return ["  %d %d %d %s" % (i, j, k, fmt(c[i, j, k])) for i, j, k in np.argwhere(c != 0.0)]
+
+
 def algebra_to_text(
     algebra: LieAlgebra,
     involution: Involution | None = None,
@@ -621,26 +626,13 @@ def algebra_to_text(
         "dim: %d" % algebra.dim,
         "labels: %s" % " ".join(algebra.labels),
         "structure:",
-    ]
-    c = algebra.structure
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            for k in range(algebra.dim):
-                if c[i, j, k] != 0.0:
-                    lines.append("  %d %d %d %s" % (i, j, k, fmt(c[i, j, k])))
+    ] + structure_lines(algebra.structure)
     if involution is not None:
-        lines.append("involution:")
-        for row in involution.matrix:
-            lines.append("  " + " ".join(fmt(x) for x in row))
+        lines += ["involution:"] + matrix_lines(involution.matrix)
     if cone is not None:
-        lines.append("cone_generators:")
-        for row in cone.generators:
-            lines.append("  " + " ".join(fmt(x) for x in row))
-        lines.append("cone_witness:")
-        lines.append("  " + " ".join(fmt(x) for x in cone.interior_witness))
-        lines.append("cone_samples:")
-        for row in cone.sampled_points:
-            lines.append("  " + " ".join(fmt(x) for x in row))
+        lines += ["cone_generators:"] + matrix_lines(cone.generators)
+        lines += ["cone_witness:"] + matrix_lines([cone.interior_witness])
+        lines += ["cone_samples:"] + matrix_lines(cone.sampled_points)
     return "\n".join(lines) + "\n"
 
 

@@ -7,8 +7,10 @@ diagonalization of the continuum step kernel instead of lattice
 compression, the hand-expanded three-pairing sum instead of the recursive
 moment evaluator, a sum over all subsets of factors instead of the
 non-centred recursion for sourced moments, exact rational rank instead
-of an SVD threshold, and dense permutation matrices with an entrywise
-Isserlis gram instead of index maps with a closed-form gram.
+of an SVD threshold, dense permutation matrices with an entrywise
+Isserlis gram instead of index maps with a closed-form gram, and one
+many-operand einsum or a loop of single brackets instead of pairwise
+structure-tensor contractions.
 Tests freeze values produced here and compare package output against them.
 """
 import itertools
@@ -18,6 +20,7 @@ from scipy.linalg import solve_banded
 
 from oslab.moments import isserlis_moment
 from oslab.reconstruction import IntertwiningReport
+from oslab.textio import fmt
 
 
 # -- explicit 4x4 inversion ---------------------------------------------------
@@ -335,3 +338,60 @@ def dense_reflection_intertwining(measure, max_degree=2, shifts=(1, 2), break_re
         unitarity_defect=unit,
         shifts_checked=tuple(int(s) for s in shifts),
     )
+
+
+# -- structure tensors: many-operand einsums and per-pair bracket loops -------
+
+def einsum_change_basis(structure, B):
+    """liealg.change_basis's structure constants from one unoptimized
+    four-operand einsum (an N^6 loop), with the same 1e-14 clamp."""
+    Binv = np.linalg.inv(B)
+    c = np.einsum("ai,bj,ijk,ke->abe", B, B, structure, Binv)
+    c[np.abs(c) < 1.0e-14] = 0.0
+    return c
+
+
+def einsum_jacobi_residual(c):
+    """Largest coefficient of [X_i,[X_j,X_k]] + cyclic, three einsums."""
+    term = np.einsum("jkl,ilm->ijkm", c, c)
+    jac = term + np.einsum("kil,jlm->ijkm", c, c) + np.einsum("ijl,klm->ijkm", c, c)
+    return float(np.max(np.abs(jac))) if c.size else 0.0
+
+
+def einsum_automorphism_residual(c, t):
+    """Largest component of [tau X_i, tau X_j] - tau [X_i, X_j]."""
+    lhs = np.einsum("ai,bj,abk->ijk", t, t, c)
+    rhs = np.einsum("ijl,kl->ijk", c, t)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def looped_bracket_residual(c, h, q, Ph, Pq):
+    """The split's bracket residual one pair of basis rows at a time: the
+    largest component of [a, b] outside the subspace it must lie in
+    ([h,h] and [q,q] in h, [h,q] in q), in the original coordinates."""
+    def bracket(x, y):
+        return np.einsum("i,j,ijk->k", x, y, c)
+
+    residual = 0.0
+    for a in h:
+        for b in h:
+            residual = max(residual, float(np.max(np.abs(Pq @ bracket(a, b)))))
+    for a in h:
+        for b in q:
+            residual = max(residual, float(np.max(np.abs(Ph @ bracket(a, b)))))
+    for a in q:
+        for b in q:
+            residual = max(residual, float(np.max(np.abs(Pq @ bracket(a, b)))))
+    return residual
+
+
+def looped_structure_lines(c):
+    """'  i j k value' per nonzero entry, from three nested loops."""
+    dim = c.shape[0]
+    lines = []
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if c[i, j, k] != 0.0:
+                    lines.append("  %d %d %d %s" % (i, j, k, fmt(c[i, j, k])))
+    return lines

@@ -15,7 +15,7 @@ from oslab.cli import (
     ConfigError,
     main,
 )
-from oslab.lattice import LatticeMismatchError
+from oslab.lattice import GaussianEuclideanMeasure, LatticeMismatchError
 from oslab.positivity import DplusMembershipError
 from oslab.reconstruction import ShiftRangeError
 
@@ -390,6 +390,41 @@ def test_suite_check_that_raises_fails_alone(tmp_path):
     assert "check cdual-involution: PASS (" in text
     assert "failed: 2/15" in text
     assert "verdict: fail" in text
+
+
+@pytest.mark.parametrize("n_points, rc", [(8, EXIT_USAGE), (12, EXIT_USAGE), (14, EXIT_OK)])
+def test_suite_refuses_lattices_its_transfers_leave(tmp_path, capsys, n_points, rc):
+    # the default basis reaches 2.5 spacings; contraction-semigroup shifts it
+    # by 4 more, which needs n_points/2 - 0.5 >= 6.5
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n_points: %d\n" % n_points)
+    got, out = run(tmp_path, "suite", "--config", str(cfg))
+    assert got == rc
+    if rc == EXIT_USAGE:
+        assert "the smallest n_points that fits is 14" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert "verdict: pass" in (out / "suite_summary.txt").read_text()
+
+
+def test_suite_eigensolves_each_covariance_once(tmp_path, monkeypatch):
+    calls = {"eigvalsh": 0, "measures": 0}
+    eigvalsh, post_init = np.linalg.eigvalsh, GaussianEuclideanMeasure.__post_init__
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_post_init(self):
+        calls["measures"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(GaussianEuclideanMeasure, "__post_init__", counting_post_init)
+    rc, _ = run(tmp_path, "suite")
+    assert rc == EXIT_OK
+    # ou, free field and the cosine control
+    assert calls == {"eigvalsh": 3, "measures": 3}
 
 
 def test_suite_unknown_injection_is_usage_error(tmp_path):

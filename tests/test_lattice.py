@@ -129,6 +129,15 @@ def test_cosine_kernel_is_psd_and_stationary():
     assert flag
 
 
+@pytest.mark.parametrize("build", [ou_covariance, free_field_covariance])
+def test_measure_keeps_its_spectrum_read_only(build):
+    m = build(0.7, TimeLattice(24, 0.25))
+    assert np.array_equal(m.eigenvalues, np.linalg.eigvalsh(m.covariance))
+    with pytest.raises(ValueError):
+        m.eigenvalues[0] = 1.0
+    assert "eigenvalues" not in repr(m)
+
+
 def test_indefinite_covariance_rejected():
     lat = TimeLattice(4, 0.5)
     bad = np.diag([1.0, 1.0, 1.0, -0.5])

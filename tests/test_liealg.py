@@ -1,6 +1,11 @@
 """Structure tensors, involution splits, sign-flipped duals, cone checks."""
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
 from oslab.liealg import (
@@ -14,6 +19,7 @@ from oslab.liealg import (
     SL2_H,
     SU2_BASIS_CHANGE,
     StructureError,
+    _bracket_residual,
     adapted_algebra,
     algebra_from_text,
     algebra_to_text,
@@ -29,6 +35,7 @@ from oslab.liealg import (
     semigroup_membership_sample,
     sl2_cone_factorize,
     split_by_involution,
+    structure_lines,
     su2_structure,
     validate_algebra,
     write_algebra,
@@ -97,7 +104,8 @@ def test_involution_must_be_involutive_automorphism():
         split_by_involution(alg, Involution(np.diag([1.0, 2.0, 1.0])))
     # an involutive linear map that is not an automorphism
     swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(InvolutionError):
+    defect = oracles.einsum_automorphism_residual(alg.structure, swap)
+    with pytest.raises(InvolutionError, match=re.escape("residual %.3e" % defect)):
         split_by_involution(alg, Involution(swap))
 
 
@@ -293,3 +301,88 @@ def test_text_roundtrip_with_involution_and_cone(tmp_path):
 def test_text_rejects_unknown_format():
     with pytest.raises(ValueError):
         algebra_from_text("format: something-else v9\ndim: 1\n")
+
+
+# -- pairwise contractions against the einsum and per-pair loop forms ---------
+#
+# Both routes add the same exact terms in different orders, so they differ by
+# at most (gamma_m + gamma_m') * S, where m and m' count the roundings along
+# each route and S is the same sum over absolute values (Higham, Accuracy and
+# Stability of Numerical Algorithms, section 3.1).  The bounds follow from
+# the arithmetic alone, whatever basis is drawn.
+
+EPS = np.finfo(float).eps
+REBASED = ("sl2R-cartan", "sl2R-adH", "heisenberg", "abelian-1", "abelian-4",
+           "perturbed-jacobi")
+
+
+def gamma(m):
+    return m * EPS / (1.0 - m * EPS)
+
+
+@st.composite
+def rebased_builtin(draw):
+    """(built-in, its involution or None, B): Y = B X with B = I + E and
+    |E_ij| <= 0.15, so ||B^-1|| <= 2.5 for every drawn basis."""
+    alg, tau = builtin_algebra(draw(st.sampled_from(REBASED)))
+    n = alg.dim
+    E = draw(arrays(float, (n, n), elements=st.floats(-0.15, 0.15)))
+    return alg, tau, np.eye(n) + E
+
+
+@settings(max_examples=60, deadline=None)
+@given(rebased_builtin())
+def test_change_basis_matches_einsum_form(case):
+    alg, _, B = case
+    n = alg.dim
+    got = change_basis(alg, B).structure
+    want = oracles.einsum_change_basis(alg.structure, B)
+    S = np.einsum("ai,bj,ijk,ke->abe", np.abs(B), np.abs(B), np.abs(alg.structure),
+                  np.abs(np.linalg.inv(B)))
+    # plus 1e-14: an entry near the clamp may be zeroed on one route only
+    bound = (gamma(n**3 + 3) + gamma(3 * n + 3)) * S + 1.0e-14
+    assert np.all(np.abs(got - want) <= bound)
+    assert structure_lines(got) == oracles.looped_structure_lines(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rebased_builtin())
+def test_jacobi_residual_matches_einsum_form(case):
+    alg, _, B = case
+    c = change_basis(alg, B).structure
+    got = validate_algebra(LieAlgebra(alg.dim, alg.labels, c), tol=np.inf).jacobi_residual
+    want = oracles.einsum_jacobi_residual(c)
+    S = oracles.einsum_jacobi_residual(np.abs(c))
+    assert abs(got - want) <= 2.0 * gamma(alg.dim + 3) * S
+
+
+@settings(max_examples=60, deadline=None)
+@given(rebased_builtin().filter(lambda case: case[1] is not None))
+def test_bracket_residual_matches_loop_form(case):
+    alg, tau, B = case
+    n = alg.dim
+    split = split_by_involution(alg, tau)
+    c = change_basis(alg, B).structure
+    # the same split in the coordinates y = B^-T x of the basis Y = B X
+    h, q = split.h_basis @ np.linalg.inv(B), split.q_basis @ np.linalg.inv(B)
+    t = np.linalg.solve(B.T, tau.matrix @ B.T)
+    Ph, Pq = 0.5 * (np.eye(n) + t), 0.5 * (np.eye(n) - t)
+    got = _bracket_residual(c, h, q, Ph, Pq)
+    want = oracles.looped_bracket_residual(c, h, q, Ph, Pq)
+    S = oracles.looped_bracket_residual(*(np.abs(x) for x in (c, h, q, Ph, Pq)))
+    assert abs(got - want) <= (gamma(n * n + n + 3) + gamma(3 * n + 3)) * S
+
+
+@pytest.mark.parametrize("name", ["sl2R-cartan", "sl2R-adH", "heisenberg", "abelian-5"])
+def test_builtin_split_and_dual_match_loop_forms(name):
+    alg, tau = builtin_algebra(name)
+    split = split_by_involution(alg, tau)
+    t = tau.matrix
+    n = alg.dim
+    assert split.bracket_residual == oracles.looped_bracket_residual(
+        alg.structure, split.h_basis, split.q_basis, 0.5 * (np.eye(n) + t), 0.5 * (np.eye(n) - t))
+    adapted, B = adapted_algebra(split)
+    assert np.array_equal(adapted.structure, oracles.einsum_change_basis(alg.structure, B))
+    dual = c_dual(split)
+    assert validate_algebra(dual).jacobi_residual == oracles.einsum_jacobi_residual(dual.structure)
+    assert structure_lines(dual.structure) == oracles.looped_structure_lines(dual.structure)
