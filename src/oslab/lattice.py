@@ -36,13 +36,17 @@ through the inverse normal CDF), and the draw for path j, site k sits at
 counter slot j*n + k.  Any block of paths can therefore be regenerated
 independently of batching, and results do not depend on how a caller
 chooses to parallelize over paths.
+
+Each measure memoizes its draws in sample_memo, keyed by (count, seed):
+the covariance factor is built and the normals are drawn once per key, and
+every later request gets the same read-only array back.  Callers that need
+to change paths copy them first.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .textio import FLOAT_FMT, fmt, parse_kv_text
 
@@ -128,9 +132,10 @@ class GaussianEuclideanMeasure:
 
     The covariance is stored read-only, so moment_memo, the memo of
     source-free Isserlis moments keyed by sorted site tuple that every
-    pairing over this measure shares, never goes stale.  eigenvalues is its
-    ascending eigvalsh spectrum, computed once for the PSD check and kept
-    read-only.
+    pairing over this measure shares, never goes stale; nor does
+    sample_memo, the read-only path matrices of sample_path_matrix keyed by
+    (count, seed).  eigenvalues is its ascending eigvalsh spectrum, computed
+    once for the PSD check and kept read-only.
     """
 
     lattice: TimeLattice
@@ -139,6 +144,7 @@ class GaussianEuclideanMeasure:
     kernel: str = KERNEL_CUSTOM
     params: dict = field(default_factory=dict)
     moment_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    sample_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -340,6 +346,8 @@ def _standard_normal(seed: int, count: int, width: int) -> np.ndarray:
     # One uint64 per variate: uniform in (0,1) on a 2^-53 grid, then the
     # inverse normal CDF.  Counter-stable: entry (j, k) always consumes
     # Philox draw number j*width + k for a given seed.
+    from scipy.special import ndtri  # scipy loads on the first draw only
+
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     raw = gen.integers(0, 1 << 53, size=(count, width), dtype=np.int64)
     u = (raw.astype(float) + 0.5) * 2.0**-53
@@ -349,12 +357,23 @@ def _standard_normal(seed: int, count: int, width: int) -> np.ndarray:
 def sample_path_matrix(
     measure: GaussianEuclideanMeasure, count: int, seed: int
 ) -> np.ndarray:
-    """count x n_points matrix of independent paths drawn from the measure."""
+    """count x n_points matrix of independent paths drawn from the measure.
+
+    The matrix is drawn once per (count, seed) and kept in the measure's
+    sample_memo: a repeated request returns the same read-only array, so
+    every caller sees bitwise the paths of the first draw.
+    """
     if count <= 0:
         raise ValueError("count must be a positive integer, got %r" % (count,))
-    L = _covariance_factor(measure)
-    Z = _standard_normal(seed, count, measure.lattice.n_points)
-    return Z @ L.T
+    key = (int(count), int(seed))
+    paths = measure.sample_memo.get(key)
+    if paths is None:
+        L = _covariance_factor(measure)
+        Z = _standard_normal(seed, count, measure.lattice.n_points)
+        paths = Z @ L.T
+        paths.setflags(write=False)
+        measure.sample_memo[key] = paths
+    return paths
 
 
 def check_stationarity(

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import nnls
 
 from .textio import atomic_write, fmt, matrix_lines, parse_kv_text
 
@@ -42,6 +40,8 @@ EIGENVALUE_REALITY_RTOL = 1.0e-8
 CLUSTER_RTOL = 1.0e-6
 RANK_RTOL = 1.0e-8
 CONE_RESIDUAL_TOL = 1.0e-6
+# Entries of one block of the Jacobi sum (512 KB); see _jacobi_residual.
+_JACOBI_BLOCK_ENTRIES = 1 << 16
 
 
 class StructureError(ValueError):
@@ -92,16 +92,35 @@ def validate_algebra(
     """Check antisymmetry and the Jacobi identity componentwise."""
     c = algebra.structure
     anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
-    # coefficient of X_m in [X_i,[X_j,X_k]] + cyclic, from one contraction
-    # cc[a,b,d,m] = sum_l c[a,b,l] c[d,l,m] read in three index orders
-    cc = np.tensordot(c, c, axes=(2, 1))
-    jac = cc.transpose(2, 0, 1, 3) + cc.transpose(1, 2, 0, 3) + cc
-    jac_res = float(np.max(np.abs(jac))) if c.size else 0.0
+    jac_res = _jacobi_residual(c)
     if anti > tol:
         raise StructureError("antisymmetry residual %.3e exceeds %.1e" % (anti, tol))
     if jac_res > tol:
         raise StructureError("Jacobi residual %.3e exceeds %.1e" % (jac_res, tol))
     return ValidationReport(anti, jac_res)
+
+
+def _jacobi_residual(c: np.ndarray) -> float:
+    """Largest coefficient of X_m in [X_i,[X_j,X_k]] + cyclic.
+
+    With cc[a,b,d,m] = sum_l c[a,b,l] c[d,l,m], the sum is cc[j,k,i,m] +
+    cc[k,i,j,m] + cc[i,j,k,m].  It is reduced over blocks of i, each from
+    three slices of that one contraction, so memory stays O(N^3 * block)
+    instead of N^4 and every entry is the same sum as the whole tensor's.
+    The three slices cost three times the one contraction's products.
+    """
+    if not c.size:
+        return 0.0
+    n = c.shape[0]
+    step = max(1, _JACOBI_BLOCK_ENTRIES // n**3)
+    worst = 0.0
+    for lo in range(0, n, step):
+        blk = slice(lo, lo + step)
+        jac = np.tensordot(c, c[blk], axes=(2, 1)).transpose(2, 0, 1, 3)
+        jac = jac + np.tensordot(c[:, blk], c, axes=(2, 1)).transpose(1, 2, 0, 3)
+        jac += np.tensordot(c[blk], c, axes=(2, 1))
+        worst = max(worst, float(np.max(np.abs(jac, out=jac))))
+    return worst
 
 
 def _brackets(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,6 +344,8 @@ def check_hyperbolic_point(algebra: LieAlgebra, x: np.ndarray) -> PointCheck:
 
 
 def _nnls_residual(generators: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+    from scipy.optimize import nnls
+
     coeffs, res = nnls(np.asarray(generators, float).T, np.asarray(target, float))
     return coeffs, float(res)
 
@@ -343,6 +364,8 @@ def hyperbolic_cone_check(
     random Z in h (nonnegative-least-squares residual against the
     generator hull).
     """
+    from scipy.linalg import expm
+
     algebra = split.algebra
     Pq = split.q_projector()
     vectors = [cone.interior_witness] + list(cone.generators) + list(cone.sampled_points)
@@ -397,6 +420,8 @@ def sl2_cone_factorize(s: np.ndarray) -> tuple[float, float, float, float]:
     Returns (t, b, c, residual); raises ValueError when the factorization
     equations have no admissible solution.
     """
+    from scipy.linalg import expm
+
     s = np.asarray(s, dtype=float)
     if abs(np.linalg.det(s) - 1.0) > 1.0e-8:
         raise ValueError("matrix determinant %s is not 1" % fmt(np.linalg.det(s)))
@@ -449,6 +474,8 @@ def semigroup_membership_sample(
     than stretch; their products routinely leave the factorizable family,
     and failures are reported per sample, not raised.
     """
+    from scipy.linalg import expm
+
     if cone not in ("quadrant", "wedge"):
         raise ValueError("unknown cone name %r" % (cone,))
     sign = 1.0 if cone == "quadrant" else -1.0

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, reports, determinism."""
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from oslab import cli
+import oslab
+from oslab import cli, lattice
 from oslab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -194,6 +197,16 @@ def test_npoint_with_monte_carlo_columns(tmp_path):
     header = (out / "npoint_comparison.csv").read_text().splitlines()[0]
     assert "rhs_mc" in header
     assert "sigma_dev" in header
+
+
+def test_npoint_cases_share_one_path_draw(tmp_path, monkeypatch):
+    calls = []
+    factor = lattice._covariance_factor
+    monkeypatch.setattr(lattice, "_covariance_factor", lambda m: calls.append(1) or factor(m))
+    rc, out = run(tmp_path, "npoint", "--samples", "1000")
+    assert rc == EXIT_OK
+    assert "cases: 2" in (out / "npoint_report.txt").read_text()
+    assert len(calls) == 1
 
 
 def test_npoint_explicit_case(tmp_path):
@@ -425,6 +438,15 @@ def test_suite_eigensolves_each_covariance_once(tmp_path, monkeypatch):
     assert rc == EXIT_OK
     # ou, free field and the cosine control
     assert calls == {"eigvalsh": 3, "measures": 3}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(oslab.__file__)))
+    code = "import sys, oslab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_suite_unknown_injection_is_usage_error(tmp_path):

@@ -1,8 +1,11 @@
 """Grid, kernels, generating functional, sampling, serialization."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from oslab import lattice
 from oslab.lattice import (
     CovarianceError,
     GaussianEuclideanMeasure,
@@ -179,6 +182,41 @@ def test_sampling_reproducible_and_seed_sensitive():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         sample_path_matrix(m, 0, seed=SEED)
+
+
+def test_sample_memo_returns_the_same_read_only_array():
+    m = ou_covariance(1.0, TimeLattice(16, 0.25))
+    a = sample_path_matrix(m, 64, seed=SEED)
+    assert sample_path_matrix(m, 64, seed=SEED) is a
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 0] = 0.0
+    assert set(m.sample_memo) == {(64, SEED)}
+
+
+def test_sample_memo_draws_anew_for_a_new_key(monkeypatch):
+    m = ou_covariance(1.0, TimeLattice(16, 0.25))
+    calls = []
+    factor = lattice._covariance_factor
+    monkeypatch.setattr(lattice, "_covariance_factor", lambda meas: calls.append(1) or factor(meas))
+    a = sample_path_matrix(m, 64, seed=SEED)
+    b = sample_path_matrix(m, 64, seed=SEED + 1)
+    c = sample_path_matrix(m, 32, seed=SEED)
+    sample_path_matrix(m, 64, seed=SEED)
+    assert len(calls) == 3
+    assert b is not a and not np.array_equal(a, b)
+    assert c.shape == (32, 16)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 80), st.integers(0, 2**63 - 1))
+def test_sample_memo_hit_equals_a_fresh_draw(half, count, seed):
+    lat = TimeLattice(2 * half, 0.25)
+    m = ou_covariance(0.7, lat)
+    sample_path_matrix(m, count, seed)
+    hit = sample_path_matrix(m, count, seed)
+    fresh = sample_path_matrix(ou_covariance(0.7, lat), count, seed)
+    assert np.array_equal(hit, fresh)
 
 
 def test_empirical_covariance_converges():

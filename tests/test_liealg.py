@@ -1,5 +1,6 @@
 """Structure tensors, involution splits, sign-flipped duals, cone checks."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from oslab import liealg
 from oslab.liealg import (
     ConeError,
     ConeSample,
@@ -354,6 +356,36 @@ def test_jacobi_residual_matches_einsum_form(case):
     want = oracles.einsum_jacobi_residual(c)
     S = oracles.einsum_jacobi_residual(np.abs(c))
     assert abs(got - want) <= 2.0 * gamma(alg.dim + 3) * S
+
+
+@settings(max_examples=60, deadline=None)
+@given(rebased_builtin(), st.integers(1, 4))
+def test_blocked_jacobi_residual_matches_einsum_form(case, step):
+    alg, _, B = case
+    c = change_basis(alg, B).structure
+    whole = liealg._jacobi_residual(c)
+    # blocks of `step` values of the first index, the last one ragged
+    saved = liealg._JACOBI_BLOCK_ENTRIES
+    liealg._JACOBI_BLOCK_ENTRIES = step * alg.dim**3
+    try:
+        got = liealg._jacobi_residual(c)
+    finally:
+        liealg._JACOBI_BLOCK_ENTRIES = saved
+    assert got == whole
+    S = oracles.einsum_jacobi_residual(np.abs(c))
+    assert abs(got - oracles.einsum_jacobi_residual(c)) <= 2.0 * gamma(alg.dim + 3) * S
+
+
+def test_jacobi_residual_memory_is_below_one_n4_array():
+    alg, _ = builtin_algebra("abelian-40")
+    tracemalloc.start()
+    try:
+        validate_algebra(alg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one 40^4 array of float64 is 20 MB
+    assert peak < 5 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
