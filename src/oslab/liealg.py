@@ -407,10 +407,76 @@ def hyperbolic_cone_check(
 SL2_H = np.array([[1.0, 0.0], [0.0, -1.0]])
 SL2_E = np.array([[0.0, 1.0], [0.0, 0.0]])
 SL2_F = np.array([[0.0, 0.0], [1.0, 0.0]])
+# |det - 1| allowed per unit of s00*s11 and s01*s10, the terms that cancel in it
+SL2_DET_RTOL = 1.0e-8
 
 
-def _sl2_cone_matrix(b: float, c: float) -> np.ndarray:
-    return b * SL2_E + c * SL2_F
+def _sl2_cone_exp(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """exp(b E + c F) for every pair of entries of b and c, as (..., 2, 2).
+
+    (b E + c F)^2 = bc I, so the exponential is cosh(s) I + sinh(s)/s (b E +
+    c F) with s = sqrt(bc); for bc < 0 cos and sin of s = sqrt(-bc) replace
+    cosh and sinh, and for bc = 0 it is I + b E + c F.
+    """
+    b, c = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(c, dtype=float))
+    bc = b * c
+    s = np.sqrt(np.abs(bc))
+    hyperbolic = bc > 0.0
+    even = np.where(hyperbolic, np.cosh(s), np.cos(s))
+    odd = np.divide(np.where(hyperbolic, np.sinh(s), np.sin(s)), s,
+                    out=np.ones_like(s), where=s > 0.0)
+    out = np.empty(bc.shape + (2, 2))
+    out[..., 0, 0] = out[..., 1, 1] = even
+    out[..., 0, 1] = odd * b
+    out[..., 1, 0] = odd * c
+    return out
+
+
+def _sl2_cone_factor_stack(s: np.ndarray):
+    """Factor each s[i] = diag(exp(t), exp(-t)) exp(b E + c F), b, c >= 0.
+
+    Returns arrays t, b, c, residual over the stack and the (index, reason)
+    pairs, in index order, of the rows without an admissible solution (their
+    array entries mean nothing).  A row fails at the first gate it breaks:
+    determinant one relative to the terms that cancel in it, nonnegative
+    entries, diagonal product at least one, positive scaling factor,
+    nonnegative recovered b and c.
+    """
+    s00, s01, s10, s11 = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+    c1sq = s00 * s11
+    det = c1sq - s01 * s10
+    c1 = np.sqrt(np.maximum(c1sq, 1.0))
+    lam = s00 / c1
+    # rows that fail a gate may divide by zero or overflow; they are dropped
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        beta, gamma = s01 / lam, s10 * lam
+        theta = np.arccosh(c1)
+        ratio = np.divide(theta, np.sinh(theta), out=np.ones_like(theta),
+                          where=theta >= 1.0e-12)
+        b, c = beta * ratio, gamma * ratio
+        t = np.log(lam)
+        rebuilt = _sl2_cone_exp(b, c)
+        rebuilt[:, 0] *= lam[:, None]
+        rebuilt[:, 1] *= (1.0 / lam)[:, None]
+        residual = np.max(np.abs(rebuilt - s), axis=(1, 2))
+    gates = (
+        (np.abs(det - 1.0) > SL2_DET_RTOL * (np.abs(c1sq) + np.abs(s01 * s10)),
+         lambda i: "matrix determinant %s is not 1" % fmt(det[i])),
+        (np.min(s, axis=(1, 2)) < -1.0e-12,
+         lambda i: "matrix has negative entries; outside the semigroup"),
+        (c1sq < 1.0 - 1.0e-12,
+         lambda i: "diagonal product %s below 1; no hyperbolic angle" % fmt(c1sq[i])),
+        (lam <= 0.0, lambda i: "nonpositive scaling factor"),
+        (np.minimum(b, c) < -1.0e-10, lambda i: "recovered cone coordinates are negative"),
+    )
+    failed = np.zeros(len(s), dtype=bool)
+    failures = []
+    for bad, reason in gates:
+        bad &= ~failed
+        failures += [(int(i), reason(i)) for i in np.flatnonzero(bad)]
+        failed |= bad
+    failures.sort()
+    return t, b, c, residual, failures
 
 
 def sl2_cone_factorize(s: np.ndarray) -> tuple[float, float, float, float]:
@@ -418,33 +484,28 @@ def sl2_cone_factorize(s: np.ndarray) -> tuple[float, float, float, float]:
 
     Exists exactly when s has nonnegative entries and determinant one.
     Returns (t, b, c, residual); raises ValueError when the factorization
-    equations have no admissible solution.
+    equations have no admissible solution.  One row of the stacked
+    factorization that semigroup_membership_sample runs.
     """
-    from scipy.linalg import expm
+    t, b, c, residual, failures = _sl2_cone_factor_stack(
+        np.asarray(s, dtype=float).reshape(1, 2, 2))
+    if failures:
+        raise ValueError(failures[0][1])
+    return float(t[0]), float(b[0]), float(c[0]), float(residual[0])
 
-    s = np.asarray(s, dtype=float)
-    if abs(np.linalg.det(s) - 1.0) > 1.0e-8:
-        raise ValueError("matrix determinant %s is not 1" % fmt(np.linalg.det(s)))
-    if np.min(s) < -1.0e-12:
-        raise ValueError("matrix has negative entries; outside the semigroup")
-    c1sq = s[0, 0] * s[1, 1]
-    if c1sq < 1.0 - 1.0e-12:
-        raise ValueError("diagonal product %s below 1; no hyperbolic angle" % fmt(c1sq))
-    c1 = np.sqrt(max(c1sq, 1.0))
-    lam = s[0, 0] / c1
-    if lam <= 0.0:
-        raise ValueError("nonpositive scaling factor")
-    beta = s[0, 1] / lam
-    gamma = s[1, 0] * lam
-    theta = np.arccosh(c1)
-    if theta < 1.0e-12:
-        b, c = beta, gamma
-    else:
-        ratio = theta / np.sinh(theta)
-        b, c = beta * ratio, gamma * ratio
-    rebuilt = np.diag([lam, 1.0 / lam]) @ expm(_sl2_cone_matrix(b, c))
-    residual = float(np.max(np.abs(rebuilt - s)))
-    return float(np.log(lam)), float(b), float(c), residual
+
+def _membership_draws(n_products: int, seed: int, scale: float):
+    """Per product, (t1, t2) uniform on [-scale, scale] then ((b1, c1), (b2,
+    c2)) uniform on [0, scale], as arrays (n, 2) and (n, 2, 2).
+
+    Generator.uniform(low, high) computes low + (high - low) * random(), so
+    one (n, 6) random() draw mapped the same way is, bit for bit, the stream
+    of per-product uniform(size=2) and uniform(size=(2, 2)) calls.
+    """
+    u = np.random.default_rng(seed).random((n_products, 6))
+    ts = -scale + (scale - -scale) * u[:, :2]
+    xs = 0.0 + (scale - 0.0) * u[:, 2:].reshape(n_products, 2, 2)
+    return ts, xs
 
 
 @dataclass(frozen=True)
@@ -473,33 +534,24 @@ def semigroup_membership_sample(
     non-invariant wedge b E - c F (b, c >= 0), whose elements rotate rather
     than stretch; their products routinely leave the factorizable family,
     and failures are reported per sample, not raised.
-    """
-    from scipy.linalg import expm
 
+    Product i is diag(exp(t1), exp(-t1)) exp(b1 E + c1 F') times the same in
+    (t2, b2, c2), F' = +-F by cone, drawn by _membership_draws.  All
+    products are drawn, formed and re-factored as (n, 2, 2) stacks.
+    """
     if cone not in ("quadrant", "wedge"):
         raise ValueError("unknown cone name %r" % (cone,))
     sign = 1.0 if cone == "quadrant" else -1.0
-    rng = np.random.default_rng(seed)
-    failures = []
-    worst = 0.0
-    n_success = 0
-    for i in range(n_products):
-        ts = rng.uniform(-scale, scale, size=2)
-        xs = rng.uniform(0.0, scale, size=(2, 2))
-        mats = [
-            np.diag([np.exp(t), np.exp(-t)]) @ expm(_sl2_cone_matrix(b, sign * c))
-            for t, (b, c) in zip(ts, xs)
-        ]
-        product = mats[0] @ mats[1]
-        try:
-            _, b, c, residual = sl2_cone_factorize(product)
-            if min(b, c) < -1.0e-10:
-                raise ValueError("recovered cone coordinates are negative")
-            worst = max(worst, residual)
-            n_success += 1
-        except ValueError as exc:
-            failures.append((i, str(exc)))
-    return MembershipReport(n_products, n_success, worst, tuple(failures))
+    ts, xs = _membership_draws(n_products, seed, scale)
+    factors = _sl2_cone_exp(xs[..., 0], sign * xs[..., 1])  # (n, 2, 2, 2)
+    factors[..., 0, :] *= np.exp(ts)[..., None]
+    factors[..., 1, :] *= np.exp(-ts)[..., None]
+    products = factors[:, 0] @ factors[:, 1]
+    _, _, _, residual, failures = _sl2_cone_factor_stack(products)
+    ok = np.ones(n_products, dtype=bool)
+    ok[[i for i, _ in failures]] = False
+    worst = float(np.max(residual[ok], initial=0.0))
+    return MembershipReport(n_products, int(ok.sum()), worst, tuple(failures))
 
 
 # -- commutant dimension ------------------------------------------------------

@@ -8,9 +8,10 @@ compression, the hand-expanded three-pairing sum instead of the recursive
 moment evaluator, a sum over all subsets of factors instead of the
 non-centred recursion for sourced moments, exact rational rank instead
 of an SVD threshold, dense permutation matrices with an entrywise
-Isserlis gram instead of index maps with a closed-form gram, and one
+Isserlis gram instead of index maps with a closed-form gram, one
 many-operand einsum or a loop of single brackets instead of pairwise
-structure-tensor contractions.
+structure-tensor contractions, and per-product draws, scipy expm and a
+scalar factorization instead of closed-form sl(2) exponentials on stacks.
 Tests freeze values produced here and compare package output against them.
 """
 import itertools
@@ -395,3 +396,79 @@ def looped_structure_lines(c):
                 if c[i, j, k] != 0.0:
                     lines.append("  %d %d %d %s" % (i, j, k, fmt(c[i, j, k])))
     return lines
+
+
+# -- sl(2) semigroup membership one product at a time -------------------------
+
+def membership_draws_per_product(n_products, seed, scale=1.0):
+    """The membership sample's draws as one uniform call per group:
+    (t1, t2) on [-scale, scale], then ((b1, c1), (b2, c2)) on [0, scale]."""
+    rng = np.random.default_rng(seed)
+    ts, xs = [], []
+    for _ in range(n_products):
+        ts.append(rng.uniform(-scale, scale, size=2))
+        xs.append(rng.uniform(0.0, scale, size=(2, 2)))
+    return np.array(ts).reshape(n_products, 2), np.array(xs).reshape(n_products, 2, 2)
+
+
+def sl2_cone_factorize_expm(s):
+    """Factor s = diag(exp(t), exp(-t)) expm(b E + c F) with b, c >= 0, one
+    matrix at a time: np.linalg.det for the determinant (gated relative to
+    |s00 s11| + |s01 s10|) and scipy expm to rebuild.  Returns (t, b, c,
+    residual) or raises ValueError with the package's reasons."""
+    from scipy.linalg import expm
+
+    E = np.array([[0.0, 1.0], [0.0, 0.0]])
+    F = np.array([[0.0, 0.0], [1.0, 0.0]])
+    s = np.asarray(s, dtype=float)
+    det = np.linalg.det(s)
+    if abs(det - 1.0) > 1.0e-8 * (abs(s[0, 0] * s[1, 1]) + abs(s[0, 1] * s[1, 0])):
+        raise ValueError("matrix determinant %s is not 1" % fmt(det))
+    if np.min(s) < -1.0e-12:
+        raise ValueError("matrix has negative entries; outside the semigroup")
+    c1sq = s[0, 0] * s[1, 1]
+    if c1sq < 1.0 - 1.0e-12:
+        raise ValueError("diagonal product %s below 1; no hyperbolic angle" % fmt(c1sq))
+    c1 = np.sqrt(max(c1sq, 1.0))
+    lam = s[0, 0] / c1
+    if lam <= 0.0:
+        raise ValueError("nonpositive scaling factor")
+    beta = s[0, 1] / lam
+    gamma = s[1, 0] * lam
+    theta = np.arccosh(c1)
+    ratio = 1.0 if theta < 1.0e-12 else theta / np.sinh(theta)
+    b, c = beta * ratio, gamma * ratio
+    if min(b, c) < -1.0e-10:
+        raise ValueError("recovered cone coordinates are negative")
+    rebuilt = np.diag([lam, 1.0 / lam]) @ expm(b * E + c * F)
+    return float(np.log(lam)), float(b), float(c), float(np.max(np.abs(rebuilt - s)))
+
+
+def membership_products_expm(n_products, seed, cone="quadrant", scale=1.0):
+    """The membership sample's products, each factor from scipy expm."""
+    from scipy.linalg import expm
+
+    E = np.array([[0.0, 1.0], [0.0, 0.0]])
+    F = np.array([[0.0, 0.0], [1.0, 0.0]])
+    sign = 1.0 if cone == "quadrant" else -1.0
+    products = []
+    for ts, xs in zip(*membership_draws_per_product(n_products, seed, scale)):
+        mats = [np.diag([np.exp(t), np.exp(-t)]) @ expm(b * E + sign * c * F)
+                for t, (b, c) in zip(ts, xs)]
+        products.append(mats[0] @ mats[1])
+    return products
+
+
+def membership_sample_looped(n_products, seed, cone="quadrant", scale=1.0):
+    """liealg.semigroup_membership_sample one product at a time, through
+    scipy expm: (n_success, worst_residual, failures)."""
+    failures, worst, n_success = [], 0.0, 0
+    for i, product in enumerate(membership_products_expm(n_products, seed, cone, scale)):
+        try:
+            residual = sl2_cone_factorize_expm(product)[3]
+        except ValueError as exc:
+            failures.append((i, str(exc)))
+            continue
+        worst = max(worst, residual)
+        n_success += 1
+    return n_success, worst, tuple(failures)

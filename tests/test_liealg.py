@@ -260,6 +260,87 @@ def test_membership_reproducible():
     assert a.worst_residual == b.worst_residual
 
 
+def _assert_matches_expm(b, c):
+    # expm's own error grows with the norm of its argument (1e-12 relative
+    # at b = c = 8 against a 40-digit reference), hence the (1 + |b| + |c|)^2
+    from scipy.linalg import expm
+
+    want = expm(b * SL2_E + c * SL2_F)
+    got = liealg._sl2_cone_exp(np.array(b), np.array(c))
+    assert got.shape == (2, 2)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1.0e-14 * (1.0 + abs(b) + abs(c)) ** 2 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-8.0, 8.0), st.floats(-8.0, 8.0))
+def test_closed_form_exponential_matches_expm(b, c):
+    _assert_matches_expm(b, c)
+
+
+@pytest.mark.parametrize("b, c", [
+    (0.0, 0.0), (0.0, 3.0), (-2.5, 0.0), (0.0, -7.0), (5.0, -0.0),
+    (1.0e-150, 1.0e-150), (1.0e-150, -1.0e-150), (-1.0e-300, 1.0),
+    (1.0, 1.0e-300), (-1.0e-160, -1.0e-160), (4.0e-320, 2.0),
+    (3.0, 4.0), (8.0, 8.0), (-8.0, 8.0), (7.9, -7.9), (8.0, -0.01),
+])
+def test_closed_form_exponential_at_vanishing_and_large_bc(b, c):
+    import mpmath
+
+    _assert_matches_expm(b, c)
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(mpmath.matrix([[0, b], [c, 0]])).tolist(), dtype=float)
+    got = liealg._sl2_cone_exp(np.array(b), np.array(c))
+    assert np.max(np.abs(got - exact)) <= 4.0e-16 * max(1.0, float(np.max(np.abs(exact))))
+
+
+def test_closed_form_exponential_is_elementwise_on_stacks():
+    rng = np.random.default_rng(SEED)
+    b, c = rng.uniform(-3.0, 3.0, size=(2, 5, 4))
+    stack = liealg._sl2_cone_exp(b, c)
+    assert stack.shape == (5, 4, 2, 2)
+    for i, j in np.ndindex(5, 4):
+        assert np.array_equal(stack[i, j], liealg._sl2_cone_exp(b[i, j], c[i, j]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5, 3])
+def test_stacked_draw_is_the_per_product_uniform_stream(scale):
+    ts, xs = liealg._membership_draws(257, SEED, scale)
+    want_ts, want_xs = oracles.membership_draws_per_product(257, SEED, scale)
+    assert ts.tobytes() == want_ts.tobytes()
+    assert xs.tobytes() == want_xs.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2026, SEED])
+@pytest.mark.parametrize("cone", ["quadrant", "wedge"])
+def test_stacked_membership_matches_looped_expm_oracle(seed, cone):
+    rep = semigroup_membership_sample(400, seed, cone=cone)
+    n_success, worst, failures = oracles.membership_sample_looped(400, seed, cone=cone)
+    assert rep.n_success == n_success
+    assert rep.failures == failures
+    assert abs(rep.worst_residual - worst) <= 1.0e-13
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_quadrant_products_refactor_at_large_scale(scale):
+    # products reach |s| ~ 3e11 at scale 8, where det loses digits to the
+    # cancellation of s00 s11 against s01 s10; the gate is relative to it
+    rep = semigroup_membership_sample(300, 5, scale=scale)
+    assert rep.n_success == 300 and rep.failures == ()
+    for product in oracles.membership_products_expm(300, 5, scale=scale):
+        residual = sl2_cone_factorize(product)[3]
+        assert residual <= 1.0e-13 * float(np.max(np.abs(product)))
+
+
+@pytest.mark.parametrize("s, reason", [
+    (np.diag([2.0, 2.0]), "matrix determinant 4 is not 1"),
+    (np.diag([1.0 - 1.0e-10, 1.0]), "diagonal product 0.99999999989999999 below 1"),
+])
+def test_factorization_names_the_gate_it_fails(s, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        sl2_cone_factorize(s)
+
+
 @pytest.mark.parametrize("case", [0, 1, 2, 3])
 def test_commutant_dimension_matches_exact_rational_oracle(case):
     H = np.array([[1.0, 0.0], [0.0, -1.0]])
