@@ -48,8 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .textio import FLOAT_FMT, fmt, parse_kv_text
-
 # Relative floor for treating the smallest eigenvalue of a PSD matrix (a
 # covariance, a certificate gram) as a violation.
 PSD_RTOL = 1.0e-10
@@ -183,16 +181,14 @@ class GaussianEuclideanMeasure:
 class TestFunction:
     """Coefficients of a lattice test function, one per site.
 
-    is_real and in_dplus are derived from the coefficients when not given;
-    explicitly passed flags are validated.  in_dplus means: real, and zero
-    on every site with t < 0, i.e. a member of the positive-time cone that
+    in_dplus is derived from the coefficients: real, and zero on every site
+    with t < 0, i.e. a member of the positive-time cone that
     reflection-positivity certificates quantify over.
     """
 
     lattice: TimeLattice
     coeffs: np.ndarray
-    is_real: bool = None  # type: ignore[assignment]
-    in_dplus: bool = None  # type: ignore[assignment]
+    in_dplus: bool = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=complex)
@@ -202,19 +198,9 @@ class TestFunction:
                 % (c.shape, self.lattice.n_points)
             )
         object.__setattr__(self, "coeffs", c)
-        real = bool(np.all(c.imag == 0.0))
         neg = np.arange(self.lattice.n_points // 2)
-        dplus = real and bool(np.all(c[neg] == 0.0))
-        if self.is_real is None:
-            object.__setattr__(self, "is_real", real)
-        elif bool(self.is_real) != real:
-            raise ValueError("is_real flag inconsistent with coefficients")
-        if self.in_dplus is None:
-            object.__setattr__(self, "in_dplus", dplus)
-        elif self.in_dplus and not dplus:
-            raise ValueError(
-                "in_dplus=True requires real coefficients vanishing at negative times"
-            )
+        dplus = bool(np.all(c.imag == 0.0)) and bool(np.all(c[neg] == 0.0))
+        object.__setattr__(self, "in_dplus", dplus)
 
     def conjugate(self) -> "TestFunction":
         return TestFunction(self.lattice, np.conj(self.coeffs))
@@ -223,14 +209,6 @@ class TestFunction:
         if other.lattice != self.lattice:
             raise LatticeMismatchError("test functions live on different lattices")
         return TestFunction(self.lattice, self.coeffs - other.coeffs)
-
-    def __add__(self, other: "TestFunction") -> "TestFunction":
-        if other.lattice != self.lattice:
-            raise LatticeMismatchError("test functions live on different lattices")
-        return TestFunction(self.lattice, self.coeffs + other.coeffs)
-
-    def scaled(self, a: complex) -> "TestFunction":
-        return TestFunction(self.lattice, a * self.coeffs)
 
 
 def ou_covariance(mass: float, lattice: TimeLattice) -> GaussianEuclideanMeasure:
@@ -399,64 +377,3 @@ def check_time_reflection_symmetry(
     dev = float(np.max(np.abs(C - R)))
     scale = float(np.max(np.abs(C))) or 1.0
     return dev <= tol * scale, dev
-
-
-def empirical_covariance(paths: np.ndarray) -> np.ndarray:
-    """Second-moment matrix of a count x n matrix of centered samples."""
-    paths = np.asarray(paths, dtype=float)
-    return (paths.T @ paths) / paths.shape[0]
-
-
-# -- structured text serialization -------------------------------------------
-
-def measure_to_text(
-    measure: GaussianEuclideanMeasure, include_covariance: bool = True
-) -> str:
-    lines = [
-        "format: oslab-measure v1",
-        "kernel: %s" % measure.kernel,
-        "n_points: %d" % measure.lattice.n_points,
-        "spacing: %s" % fmt(measure.lattice.spacing),
-        "mass: %s" % fmt(measure.mass),
-    ]
-    for key in sorted(measure.params):
-        lines.append("%s: %s" % (key, fmt(measure.params[key])))
-    if include_covariance or measure.kernel == KERNEL_CUSTOM:
-        lines.append("covariance:")
-        for row in measure.covariance:
-            lines.append("  " + " ".join(format(x, FLOAT_FMT) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def measure_from_text(text: str) -> GaussianEuclideanMeasure:
-    scalars, blocks = parse_kv_text(text)
-    if scalars.get("format") != "oslab-measure v1":
-        raise ValueError("unrecognized measure format: %r" % scalars.get("format"))
-    lattice = TimeLattice(int(scalars["n_points"]), float(scalars["spacing"]))
-    mass = float(scalars["mass"])
-    kernel = scalars["kernel"]
-    if kernel == KERNEL_OU:
-        measure = ou_covariance(mass, lattice)
-    elif kernel == KERNEL_FREE_FIELD:
-        measure = free_field_covariance(mass, lattice)
-    elif kernel == KERNEL_COSINE:
-        measure = cosine_damped_covariance(mass, float(scalars["omega"]), lattice)
-    elif kernel == KERNEL_CUSTOM:
-        if "covariance" not in blocks:
-            raise ValueError("custom kernel requires an explicit covariance block")
-        measure = None
-    else:
-        raise ValueError("unknown kernel name: %r" % kernel)
-    if "covariance" in blocks:
-        rows = [[float(tok) for tok in line.split()] for line in blocks["covariance"]]
-        C = np.array(rows, dtype=float)
-        if measure is not None:
-            scale = float(np.max(np.abs(measure.covariance))) or 1.0
-            dev = float(np.max(np.abs(C - measure.covariance)))
-            if dev > 1.0e-12 * scale:
-                raise CovarianceError(
-                    "stored covariance deviates from kernel %s by %.3e" % (kernel, dev)
-                )
-        else:
-            measure = GaussianEuclideanMeasure(lattice, C, mass, kernel=KERNEL_CUSTOM)
-    return measure

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .textio import atomic_write, fmt, matrix_lines, parse_kv_text
+from .textio import fmt, matrix_lines, parse_kv_text
 
 STRUCTURE_TOL = 1.0e-12
 EIGENVALUE_REALITY_RTOL = 1.0e-8
@@ -289,10 +289,7 @@ class ConeSample:
 
 @dataclass(frozen=True)
 class PointCheck:
-    point: np.ndarray
     eigenvalues: np.ndarray
-    max_imag: float
-    semisimple: bool
     hyperbolic: bool
     reason: str
 
@@ -326,8 +323,7 @@ def check_hyperbolic_point(algebra: LieAlgebra, x: np.ndarray) -> PointCheck:
     max_imag = float(np.max(np.abs(eig.imag))) if eig.size else 0.0
     if max_imag > EIGENVALUE_REALITY_RTOL * norm:
         return PointCheck(
-            np.asarray(x, float), eig, max_imag, False, False,
-            "complex eigenvalues (max imaginary part %.3e)" % max_imag,
+            eig, False, "complex eigenvalues (max imaginary part %.3e)" % max_imag
         )
     clusters: list[float] = []
     for lam in np.sort(eig.real):
@@ -337,10 +333,9 @@ def check_hyperbolic_point(algebra: LieAlgebra, x: np.ndarray) -> PointCheck:
         B = A - lam * np.eye(A.shape[0])
         if _rank(B) != _rank(B @ B):
             return PointCheck(
-                np.asarray(x, float), eig, max_imag, False, False,
-                "nilpotent part detected at eigenvalue %s" % fmt(lam),
+                eig, False, "nilpotent part detected at eigenvalue %s" % fmt(lam)
             )
-    return PointCheck(np.asarray(x, float), eig, max_imag, True, True, "hyperbolic")
+    return PointCheck(eig, True, "hyperbolic")
 
 
 def _nnls_residual(generators: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
@@ -715,33 +710,61 @@ def algebra_to_text(
     return "\n".join(lines) + "\n"
 
 
+def _finite(token: str) -> float:
+    x = float(token)
+    if not np.isfinite(x):
+        raise ValueError("algebra file holds the non-finite number %r" % token)
+    return x
+
+
+def _rows(lines: list, dim: int, what: str) -> np.ndarray:
+    """The finite float rows of a block, as a (rows, dim) array."""
+    rows = [[_finite(x) for x in line.split()] for line in lines]
+    if any(len(r) != dim for r in rows):
+        raise ValueError("every %s row must hold dim = %d entries" % (what, dim))
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
 def algebra_from_text(text: str):
-    """Parse the text form; returns (algebra, involution or None, cone or None)."""
+    """Parse the text form; returns (algebra, involution or None, cone or None).
+
+    A malformed file raises ValueError: a missing key, a non-finite
+    number, a structure line that is not 'i j k value' with indices in
+    0..dim-1, an involution that is not dim x dim, a cone without
+    generators or without exactly one witness, a cone vector whose length
+    is not dim.
+    """
     scalars, blocks = parse_kv_text(text)
     if scalars.get("format") != "oslab-algebra v1":
         raise ValueError("unrecognized algebra format: %r" % scalars.get("format"))
+    for key in ("dim", "labels"):
+        if key not in scalars:
+            raise ValueError("algebra file has no %r line" % key)
     dim = int(scalars["dim"])
     labels = tuple(scalars["labels"].split())
     c = np.zeros((dim, dim, dim))
     for line in blocks.get("structure", []):
         parts = line.split()
-        i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
-        c[i, j, k] = float(parts[3])
+        if len(parts) != 4:
+            raise ValueError("structure line %r is not 'i j k value'" % line)
+        i, j, k = (int(p) for p in parts[:3])
+        if min(i, j, k) < 0 or max(i, j, k) >= dim:
+            raise ValueError("structure line %r has an index outside 0..%d" % (line, dim - 1))
+        c[i, j, k] = _finite(parts[3])
     algebra = LieAlgebra(dim, labels, c)
     involution = None
     if "involution" in blocks:
-        rows = [[float(x) for x in line.split()] for line in blocks["involution"]]
-        involution = Involution(np.array(rows))
+        t = _rows(blocks["involution"], dim, "involution")
+        if t.shape[0] != dim:
+            raise ValueError("involution must have dim = %d rows" % dim)
+        involution = Involution(t)
     cone = None
     if "cone_generators" in blocks:
-        gens = np.array([[float(x) for x in l.split()] for l in blocks["cone_generators"]])
-        witness = np.array([float(x) for x in blocks["cone_witness"][0].split()])
-        samples = np.array([[float(x) for x in l.split()] for l in blocks.get("cone_samples", [])])
-        if samples.size == 0:
-            samples = samples.reshape(0, dim)
-        cone = ConeSample(gens, witness, samples)
+        generators = _rows(blocks["cone_generators"], dim, "cone_generators")
+        witness = _rows(blocks.get("cone_witness", []), dim, "cone_witness")
+        if not len(generators) or len(witness) != 1:
+            raise ValueError("a cone needs at least one generator and exactly one witness row")
+        cone = ConeSample(
+            generators, witness[0], _rows(blocks.get("cone_samples", []), dim, "cone_samples")
+        )
     return algebra, involution, cone
-
-
-def write_algebra(path: str, algebra: LieAlgebra, **kw) -> None:
-    atomic_write(path, algebra_to_text(algebra, **kw))

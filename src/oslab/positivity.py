@@ -25,7 +25,7 @@ standard errors.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,12 +36,10 @@ from .lattice import (
     LatticeMismatchError,
     TestFunction,
     TimeLattice,
-    cosine_damped_covariance,
     generating_functional_gram,
     sample_path_matrix,
 )
-from .moments import isserlis_moment
-from .textio import atomic_write, fmt, fmt_complex, matrix_lines
+from .textio import fmt, fmt_complex, matrix_lines
 
 HERMITICITY_RTOL = 1.0e-12
 WITNESS_RTOL = 1.0e-8
@@ -101,13 +99,6 @@ class PsdCertificate:
 def reflect(f: TestFunction) -> TestFunction:
     """Time reflection: coefficient at t_j moves to -t_j.  An involution."""
     return TestFunction(f.lattice, f.coeffs[::-1].copy())
-
-
-def project_dplus(f: TestFunction) -> TestFunction:
-    """Drop the imaginary part and zero all negative-time coefficients."""
-    c = np.real(f.coeffs).astype(float).astype(complex)
-    c[: f.lattice.n_points // 2] = 0.0
-    return TestFunction(f.lattice, c)
 
 
 def _own_measure(functional) -> GaussianEuclideanMeasure | None:
@@ -224,8 +215,6 @@ OBSERVABLE_DICTIONARY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "tanh": np.tanh,
 }
 
-POLYNOMIAL_DEGREE = {"1": 0, "q": 1, "q2": 2, "q3": 3, "q4": 4}
-
 
 @dataclass(frozen=True)
 class SampledObservable:
@@ -246,9 +235,6 @@ class SampledObservable:
             j = lattice.index_of_time(-t if reflected else t)
             vals = vals * OBSERVABLE_DICTIONARY[name](paths[:, j])
         return vals
-
-    def is_polynomial(self) -> bool:
-        return all(name in POLYNOMIAL_DEGREE for _, name in self.factors)
 
 
 def rp_sampled_certificate(
@@ -288,24 +274,7 @@ def rp_sampled_certificate(
     )
 
 
-def exact_sampled_gram_entry(
-    measure: GaussianEuclideanMeasure,
-    a: SampledObservable,
-    b: SampledObservable,
-) -> float:
-    """Wick value of E[a(reflected paths) * b(paths)] for polynomial factors."""
-    if not (a.is_polynomial() and b.is_polynomial()):
-        raise ValueError("exact entries are only available for polynomial factors")
-    lattice = measure.lattice
-    idx: list[int] = []
-    for t, name in a.factors:
-        idx.extend([lattice.index_of_time(-t)] * POLYNOMIAL_DEGREE[name])
-    for t, name in b.factors:
-        idx.extend([lattice.index_of_time(t)] * POLYNOMIAL_DEGREE[name])
-    return isserlis_moment(measure.covariance, idx, memo=measure.moment_memo)
-
-
-# -- negative-control scan ----------------------------------------------------
+# -- spike families -----------------------------------------------------------
 
 def delta_family(
     lattice: TimeLattice, site_indices: Sequence[int], scale: float
@@ -317,30 +286,6 @@ def delta_family(
         c[j] = scale
         fs.append(TestFunction(lattice, c))
     return fs
-
-
-def find_rp_violation(
-    lattice: TimeLattice,
-    mass: float,
-    omegas: Sequence[float],
-    scales: Sequence[float],
-    rtol: float = PSD_RTOL,
-):
-    """Scan the cosine-damped kernel for a reflection-positivity violation.
-
-    Tries each (omega, scale) with the full positive-site spike family and
-    returns (omega, scale, certificate) for the first indefinite Gram, or
-    None if the scan never finds one.
-    """
-    sites = list(lattice.positive_indices)
-    for omega in omegas:
-        measure = cosine_damped_covariance(mass, omega, lattice)
-        for scale in scales:
-            family = delta_family(lattice, sites, scale)
-            cert = rp_gram_certificate(measure.generating_functional, family, rtol)
-            if cert.verdict == "indefinite":
-                return float(omega), float(scale), cert
-    return None
 
 
 # -- serialization ------------------------------------------------------------
@@ -369,6 +314,3 @@ def certificate_to_text(cert: PsdCertificate) -> str:
             lines.append("  " + " ".join(fmt(float(np.real(z))) for z in cert.witness))
     return "\n".join(lines) + "\n"
 
-
-def write_certificate(path: str, cert: PsdCertificate) -> None:
-    atomic_write(path, certificate_to_text(cert))

@@ -49,7 +49,7 @@ from .lattice import (
     sample_path_matrix,
 )
 from .moments import gaussian_monomial_with_source, isserlis_moment, site_power_moments
-from .textio import atomic_write, fmt, matrix_lines
+from .textio import fmt
 
 NULL_CUT_RTOL = 1.0e-10
 GRAM_SYMMETRY_RTOL = 1.0e-12
@@ -286,14 +286,13 @@ def build_physical_space(
     times: Sequence[float] | None = None,
     max_degree: int = 3,
     exponentials: Sequence[TestFunction] = (),
-    null_rtol: float = NULL_CUT_RTOL,
 ) -> ReconstructedSpace:
     """Quotient construction from the reflected Gram over a basis.
 
     Either pass an explicit basis, or a positive-time subset plus a degree
     bound to span all monomials over it.  The constant functional is always
     included (prepended when missing) so the vacuum class is represented.
-    Raises ReflectionPositivityError if the Gram dips below -null_rtol
+    Raises ReflectionPositivityError if the Gram dips below -NULL_CUT_RTOL
     relative, which is exactly a reflection-positivity violation.
     """
     if basis is None:
@@ -322,7 +321,7 @@ def build_physical_space(
     lam_max = float(w[-1]) if len(w) else 0.0
     if lam_max <= 0.0:
         raise ReflectionPositivityError("reflected Gram has no positive part")
-    cut = null_rtol * lam_max
+    cut = NULL_CUT_RTOL * lam_max
     if float(w[0]) < -cut:
         raise ReflectionPositivityError(
             "reflected Gram is indefinite (min eigenvalue %.6e): "
@@ -344,7 +343,7 @@ def build_physical_space(
         measure=measure,
         basis=tuple(basis),
         gram=G,
-        null_tolerance=null_rtol,
+        null_tolerance=NULL_CUT_RTOL,
         eigenvalues=lam,
         eigenvectors=vecs,
         physical_dim=int(lam.shape[0]),
@@ -416,7 +415,7 @@ def transfer_operator(
                 raise RepresentabilityError(
                     "shifted functional %s is not representable in the basis "
                     "span (norm defect %.3e); use exact=False to compress"
-                    % (space.basis[k].describe(), defect)
+                    % (space.basis[k].shifted(step).describe(), defect)
                 )
         asym = float(np.max(np.abs(T - T.conj().T)))
         scale = float(np.max(np.abs(T))) or 1.0
@@ -685,28 +684,3 @@ def check_reflection_intertwining(
         shifts_checked=tuple(int(s) for s in shifts),
     )
 
-
-# -- serialization ------------------------------------------------------------
-
-def space_to_text(space: ReconstructedSpace) -> str:
-    lines = [
-        "format: oslab-space v1",
-        "n_points: %d" % space.measure.lattice.n_points,
-        "spacing: %s" % fmt(space.measure.lattice.spacing),
-        "kernel: %s" % space.measure.kernel,
-        "mass: %s" % fmt(space.measure.mass),
-        "basis_size: %d" % len(space.basis),
-        "physical_dim: %d" % space.physical_dim,
-        "null_tolerance: %s" % fmt(space.null_tolerance),
-        "basis:",
-    ]
-    lines.extend("  " + f.describe() for f in space.basis)
-    lines.append("gram_eigenvalues:")
-    lines.append("  " + " ".join(fmt(x) for x in np.sort(np.real(space.eigenvalues))))
-    lines.append("gram:")
-    lines.extend(matrix_lines(np.real(space.gram)))
-    return "\n".join(lines) + "\n"
-
-
-def write_space(path: str, space: ReconstructedSpace) -> None:
-    atomic_write(path, space_to_text(space))

@@ -11,7 +11,9 @@ of an SVD threshold, dense permutation matrices with an entrywise
 Isserlis gram instead of index maps with a closed-form gram, one
 many-operand einsum or a loop of single brackets instead of pairwise
 structure-tensor contractions, and per-product draws, scipy expm and a
-scalar factorization instead of closed-form sl(2) exponentials on stacks.
+scalar factorization instead of closed-form sl(2) exponentials on stacks,
+and the sample second-moment matrix and exact Wick gram entries against
+which drawn paths and sampled certificates are checked.
 Tests freeze values produced here and compare package output against them.
 """
 import itertools
@@ -202,6 +204,31 @@ def moment_with_source_subset_sum(cov, indices, source, magnitudes=False):
             rest = tuple(sorted(idx[p] for p in positions if p not in taken))
             total += mean_part * even_moment(rest)
     return complex(prefactor * total)
+
+
+# -- sampled paths against exact moments -------------------------------------
+
+# the degree of each polynomial factor of a sampled observable
+POLYNOMIAL_DEGREE = {"1": 0, "q": 1, "q2": 2, "q3": 3, "q4": 4}
+
+
+def empirical_covariance(paths):
+    """Second-moment matrix of a count x n matrix of centered samples."""
+    paths = np.asarray(paths, dtype=float)
+    return (paths.T @ paths) / paths.shape[0]
+
+
+def exact_sampled_gram_entry(measure, a, b):
+    """Wick value of E[a(reflected paths) * b(paths)] for two sampled
+    observables with polynomial factors; ValueError for any other factor."""
+    lattice = measure.lattice
+    idx = []
+    for factors, sign in ((a.factors, -1.0), (b.factors, 1.0)):
+        for t, name in factors:
+            if name not in POLYNOMIAL_DEGREE:
+                raise ValueError("exact entries are only available for polynomial factors")
+            idx.extend([lattice.index_of_time(sign * t)] * POLYNOMIAL_DEGREE[name])
+    return isserlis_moment(measure.covariance, idx, memo=measure.moment_memo)
 
 
 # -- reversible cross-block factorization -------------------------------------

@@ -248,12 +248,43 @@ def test_cdual_unknown_name_is_usage_error(tmp_path):
 
 
 def test_cdual_accepts_algebra_file(tmp_path):
-    from oslab.liealg import builtin_algebra, write_algebra
+    from oslab.liealg import algebra_to_text, builtin_algebra
     alg, tau = builtin_algebra("sl2R-cartan")
     path = tmp_path / "myalg.txt"
-    write_algebra(str(path), alg, involution=tau)
+    path.write_text(algebra_to_text(alg, involution=tau))
     rc, out = run(tmp_path, "cdual", str(path))
     assert rc == EXIT_OK
+
+
+HEAD2 = "format: oslab-algebra v1\ndim: 2\nlabels: A B\n"
+TAU2 = "involution:\n  -1 0\n  0 -1\n"
+MALFORMED_ALGEBRAS = {
+    "no-format": ("cdual", "dim: 2\nlabels: A B\n" + TAU2),
+    "no-dim": ("cdual", "format: oslab-algebra v1\nlabels: A B\n" + TAU2),
+    "no-labels": ("cdual", "format: oslab-algebra v1\ndim: 2\n" + TAU2),
+    "short-structure-line": ("cdual", HEAD2 + "structure:\n  0 1\n" + TAU2),
+    "index-beyond-dim": ("cdual", HEAD2 + "structure:\n  0 1 5 1.0\n" + TAU2),
+    "negative-index": ("cdual", HEAD2 + "structure:\n  -1 0 1 1.0\n" + TAU2),
+    "nan-structure-constant": ("cdual", HEAD2 + "structure:\n  0 1 1 nan\n" + TAU2),
+    "infinite-involution-entry": ("cdual", HEAD2 + "involution:\n  -inf 0\n  0 -1\n"),
+    "involution-not-dim-square": (
+        "cdual", "format: oslab-algebra v1\ndim: 3\nlabels: A B C\n" + TAU2),
+    "cone-without-witness": ("cone-check", HEAD2 + TAU2 + "cone_generators:\n  1 0\n"),
+    "cone-without-generators": (
+        "cone-check", HEAD2 + TAU2 + "cone_generators:\ncone_witness:\n  1 0\n"),
+    "cone-vector-length": (
+        "cone-check", HEAD2 + TAU2 + "cone_generators:\n  1 0 0\ncone_witness:\n  1 0\n"),
+}
+
+
+@pytest.mark.parametrize("command, text", MALFORMED_ALGEBRAS.values(),
+                         ids=list(MALFORMED_ALGEBRAS))
+def test_malformed_algebra_file_is_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "alg.txt"
+    path.write_text(text)
+    rc, _ = run(tmp_path, command, str(path))
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cone_check_default_passes(tmp_path):

@@ -19,14 +19,10 @@ from oslab.positivity import (
     SampledObservable,
     certificate_to_text,
     delta_family,
-    exact_sampled_gram_entry,
-    find_rp_violation,
     pd_gram_certificate,
-    project_dplus,
     reflect,
     rp_gram_certificate,
     rp_sampled_certificate,
-    write_certificate,
 )
 
 SEED = 20260822
@@ -79,15 +75,6 @@ def test_reflect_is_involution_and_mirrors_support():
     g = reflect(f)
     assert g.coeffs[16 - 1 - 11] == 1.0
     assert np.array_equal(reflect(g).coeffs, f.coeffs)
-
-
-def test_project_dplus_zeroes_negative_halfline():
-    rng = np.random.default_rng(SEED)
-    f = TestFunction(LAT, rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    p = project_dplus(f)
-    assert p.in_dplus
-    assert np.all(p.coeffs[:8] == 0.0)
-    assert np.all(p.coeffs.imag == 0.0)
 
 
 def test_pd_zero_function_gives_unit_gram():
@@ -299,16 +286,6 @@ def test_certificate_verdict_matches_eigenvalue_rule():
         assert cert.verdict == expected
 
 
-def test_find_rp_violation_scan():
-    hit = find_rp_violation(LAT, 1.0, [4.0], [2.0])
-    assert hit is not None
-    omega, scale, cert = hit
-    assert (omega, scale) == (4.0, 2.0)
-    assert cert.verdict == "indefinite"
-    # frequency zero degenerates to the plain decaying kernel, which passes
-    assert find_rp_violation(LAT, 1.0, [0.0], [2.0]) is None
-
-
 def test_sampled_certificate_constant_observable():
     m = ou_covariance(1.0, LAT)
     t0 = float(LAT.times[8])
@@ -361,7 +338,7 @@ def test_sampled_gram_entries_match_exact_moments():
     cert = rp_sampled_certificate(m, obs, 60000, seed=SEED)
     for i in range(3):
         for j in range(3):
-            exact = exact_sampled_gram_entry(m, obs[i], obs[j])
+            exact = oracles.exact_sampled_gram_entry(m, obs[i], obs[j])
             assert abs(cert.gram[i, j] - exact) < 0.05 * max(1.0, abs(exact))
 
 
@@ -370,20 +347,15 @@ def test_exact_entry_frozen_value_and_polynomial_guard():
     t0 = float(LAT.times[8])
     q = SampledObservable(((t0, "q"),))
     # exp(-2 * t0) / 2 at unit mass
-    assert abs(exact_sampled_gram_entry(m, q, q) - 0.38940039153570244) < 1.0e-15
+    assert abs(oracles.exact_sampled_gram_entry(m, q, q) - 0.38940039153570244) < 1.0e-15
     th = SampledObservable(((t0, "tanh"),))
-    assert q.is_polynomial()
-    assert not th.is_polynomial()
     with pytest.raises(ValueError):
-        exact_sampled_gram_entry(m, q, th)
+        oracles.exact_sampled_gram_entry(m, q, th)
 
 
-def test_certificate_text_and_file(tmp_path):
+def test_certificate_text_and_file():
     m = ou_covariance(1.0, LAT)
     cert = rp_gram_certificate(m.generating_functional, delta_family(LAT, [8, 9], 0.5))
     text = certificate_to_text(cert)
     assert "verdict: positive" in text
     assert "min_eigenvalue:" in text
-    out = tmp_path / "cert.txt"
-    write_certificate(str(out), cert)
-    assert out.read_text() == text

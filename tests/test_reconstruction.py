@@ -30,10 +30,8 @@ from oslab.reconstruction import (
     monomial_basis,
     multiplication_operator,
     reflected_gram,
-    space_to_text,
     transfer_operator,
     verify_npoint_identity,
-    write_space,
 )
 
 SEED = 20260822
@@ -203,6 +201,17 @@ def test_exact_transfer_refuses_unrepresentable_shift():
         transfer_operator(sp, 0.25, exact=True)
 
 
+def test_exact_transfer_refuses_non_markov_monomial_shift():
+    # a sum of two OU kernels is reflection positive but not Markov: the
+    # shifted q(T0) leaves the span of {1, q(T0)} with a norm defect ~2e-2
+    d = np.abs(LAT.times[:, None] - LAT.times[None, :])
+    C = np.exp(-d) / 2.0 + np.exp(-3.0 * d) / 6.0
+    sp = build_physical_space(GaussianEuclideanMeasure(LAT, C, mass=1.0),
+                              times=[T0], max_degree=1)
+    with pytest.raises(RepresentabilityError, match=r"shifted functional q\(0\.375\)"):
+        transfer_operator(sp, 0.25)
+
+
 def test_multiplication_by_one_is_identity():
     m = ou_covariance(1.0, LAT)
     sp = build_physical_space(m, times=[T0], max_degree=2)
@@ -323,17 +332,6 @@ def test_intertwining_at_n1024_uses_no_moment_engine():
     assert broken.involution_defect == 2.0
     assert broken.intertwining_defect == 2.0
     assert m.moment_memo == {}
-
-
-def test_space_serialization(tmp_path):
-    m = ou_covariance(1.0, LAT)
-    sp = build_physical_space(m, times=[T0], max_degree=2)
-    text = space_to_text(sp)
-    assert "format: oslab-space v1" in text
-    assert "physical_dim: 3" in text
-    out = tmp_path / "space.txt"
-    write_space(str(out), sp)
-    assert out.read_text() == text
 
 
 # -- the shared moment memo ----------------------------------------------------
