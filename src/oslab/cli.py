@@ -148,29 +148,33 @@ class RunConfig:
             )
         if self.n_points % 2 != 0 or not 4 <= self.n_points <= 4096:
             raise ConfigError("n_points must be even and between 4 and 4096")
-        if self.spacing <= 0.0:
-            raise ConfigError("spacing must be positive")
-        if self.mass <= 0.0:
-            raise ConfigError("mass must be positive")
+        if not _positive_finite(self.spacing):
+            raise ConfigError("spacing must be positive and finite")
+        if not _positive_finite(self.mass):
+            raise ConfigError("mass must be positive and finite")
         if self.max_degree < 1:
             raise ConfigError("max_degree must be at least 1")
         if self.samples != 0 and self.samples < 1000:
             raise ConfigError(
                 "samples must be 0 (Monte Carlo disabled) or at least 1000"
             )
-        if self.step is not None and self.step <= 0.0:
-            raise ConfigError("step must be positive")
+        if self.step is not None and not _positive_finite(self.step):
+            raise ConfigError("step must be positive and finite")
         if self.families < 1:
             raise ConfigError("families must be at least 1")
         if not 1 <= self.family_size <= 16:
             raise ConfigError("family_size must be between 1 and 16")
         if any(d < 1 for d in self.degrees):
             raise ConfigError("degrees must be positive integers")
-        if self.tolerance is not None and self.tolerance <= 0.0:
-            raise ConfigError("tolerance must be positive")
+        if self.tolerance is not None and not _positive_finite(self.tolerance):
+            raise ConfigError("tolerance must be positive and finite")
 
     def out_dir(self) -> str:
         return self.out or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT_DIR
+
+
+def _positive_finite(x: float) -> bool:
+    return 0.0 < x < np.inf  # False for NaN
 
 
 _INT_KEYS = ("n_points", "max_degree", "samples", "seed", "families", "family_size")

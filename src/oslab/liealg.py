@@ -357,8 +357,11 @@ def hyperbolic_cone_check(
     and each sampled point, strict positivity of the witness combination,
     and numerical invariance of the sampled points under exp(ad Z) for
     random Z in h (nonnegative-least-squares residual against the
-    generator hull).
+    generator hull).  A cone without generators is refused with ValueError
+    (scipy's nnls aborts the interpreter on an empty hull).
     """
+    if len(cone.generators) == 0:
+        raise ValueError("cone sample has no generators")
     from scipy.linalg import expm
 
     algebra = split.algebra

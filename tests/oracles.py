@@ -10,8 +10,9 @@ non-centred recursion for sourced moments, exact rational rank instead
 of an SVD threshold, dense permutation matrices with an entrywise
 Isserlis gram instead of index maps with a closed-form gram, one
 many-operand einsum or a loop of single brackets instead of pairwise
-structure-tensor contractions, and per-product draws, scipy expm and a
+structure-tensor contractions, per-product draws, scipy expm and a
 scalar factorization instead of closed-form sl(2) exponentials on stacks,
+the kernels' out-of-place expressions instead of their in-place builds,
 and the sample second-moment matrix and exact Wick gram entries against
 which drawn paths and sampled certificates are checked.
 Tests freeze values produced here and compare package output against them.
@@ -24,6 +25,36 @@ from scipy.linalg import solve_banded
 from oslab.moments import isserlis_moment
 from oslab.reconstruction import IntertwiningReport
 from oslab.textio import fmt
+
+
+# -- kernel expressions, out of place -----------------------------------------
+
+def _distances(lattice):
+    j = np.arange(lattice.n_points)
+    return np.abs(j[:, None] - j[None, :]) * lattice.spacing
+
+
+def ou_kernel_expression(mass, lattice):
+    """exp(-m d) / (2m), one temporary per operation."""
+    d = _distances(lattice)
+    return np.exp(-mass * d) / (2.0 * mass)
+
+
+def cosine_kernel_expression(mass, omega, lattice):
+    """cos(w d) exp(-m d) / (2m), one temporary per operation."""
+    d = _distances(lattice)
+    return np.cos(omega * d) * np.exp(-mass * d) / (2.0 * mass)
+
+
+def free_field_kernel_expression(mass, lattice):
+    """inv(h K) for the Dirichlet action K, with h K a fresh product."""
+    n, h = lattice.n_points, lattice.spacing
+    K = np.zeros((n, n))
+    np.fill_diagonal(K, 2.0 / h**2 + mass**2)
+    idx = np.arange(n - 1)
+    K[idx, idx + 1] = -1.0 / h**2
+    K[idx + 1, idx] = -1.0 / h**2
+    return np.linalg.inv(h * K)
 
 
 # -- explicit 4x4 inversion ---------------------------------------------------

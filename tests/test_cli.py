@@ -95,6 +95,27 @@ def test_small_sample_count_is_usage_error(tmp_path):
     assert rc == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, config", [
+    ("reconstruct", "spacing: nan\n"),
+    ("reconstruct", "spacing: inf\n"),
+    ("rp-check", "instance: free-field\nmass: inf\n"),
+    ("rp-check", "instance: ou\nmass: inf\n"),
+    ("rp-check", "mass: nan\n"),
+    ("reconstruct", "step: nan\n"),
+    ("reconstruct", "step: inf\n"),
+    ("reconstruct", "tolerance: nan\n"),
+    ("rp-check", "tolerance: inf\n"),
+], ids=lambda v: v.strip().replace("\n", ",").replace(": ", "-"))
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, command, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    rc, out = run(tmp_path, command, "--config", str(cfg))
+    assert rc == EXIT_USAGE
+    key = config.splitlines()[-1].split(":")[0]
+    assert capsys.readouterr().err == "error: %s must be positive and finite\n" % key
+    assert not out.exists()
+
+
 def test_config_file_applies_and_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_points: 16\nspacing: 0.5\n")
@@ -467,8 +488,31 @@ def test_suite_eigensolves_each_covariance_once(tmp_path, monkeypatch):
     monkeypatch.setattr(GaussianEuclideanMeasure, "__post_init__", counting_post_init)
     rc, _ = run(tmp_path, "suite")
     assert rc == EXIT_OK
-    # ou, free field and the cosine control
-    assert calls == {"eigvalsh": 3, "measures": 3}
+    # ou, free field and the cosine control, each proven PSD without a
+    # spectrum; only the covariance-psd line reads those of ou and free field
+    assert calls == {"eigvalsh": 2, "measures": 3}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("rp-check", "instance: ou\n"),
+    ("rp-check", "instance: free-field\n"),
+    ("reconstruct", "instance: ou\nmax_degree: 2\n"),
+    ("npoint", ""),
+], ids=lambda v: v.strip().replace("\n", ",").replace(": ", "-"))
+def test_jobs_at_n512_never_eigensolve_the_covariance(tmp_path, monkeypatch, command, config):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_points: 512\n" + config)
+    rc, _ = run(tmp_path, command, "--config", str(cfg))
+    assert rc == EXIT_OK
+    assert calls == []
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,6 +1,9 @@
 """Grid, kernels, generating functional, sampling."""
+import dataclasses
+
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from oslab.lattice import (
     CovarianceError,
     GaussianEuclideanMeasure,
     KERNEL_CUSTOM,
+    PSD_RTOL,
     TestFunction,
     TimeLattice,
     check_stationarity,
@@ -129,20 +133,119 @@ def test_cosine_kernel_is_psd_and_stationary():
     assert flag
 
 
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
 @pytest.mark.parametrize("build", [ou_covariance, free_field_covariance])
-def test_measure_keeps_its_spectrum_read_only(build):
+def test_measure_keeps_its_spectrum_read_only(build, monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
     m = build(0.7, TimeLattice(24, 0.25))
-    assert np.array_equal(m.eigenvalues, np.linalg.eigvalsh(m.covariance))
+    assert calls == []  # proven PSD at construction: no spectrum yet
+    w = m.eigenvalues
+    assert m.eigenvalues is w
+    assert calls == [(24, 24)]  # computed once, on first read
+    assert np.array_equal(w, np.linalg.eigvalsh(m.covariance))
     with pytest.raises(ValueError):
-        m.eigenvalues[0] = 1.0
+        w[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.eigenvalues = w.copy()
     assert "eigenvalues" not in repr(m)
+
+
+@pytest.mark.parametrize(
+    "build, expression",
+    [
+        (ou_covariance, oracles.ou_kernel_expression),
+        (free_field_covariance, oracles.free_field_kernel_expression),
+        (lambda m, lat: cosine_damped_covariance(m, 4.0, lat),
+         lambda m, lat: oracles.cosine_kernel_expression(m, 4.0, lat)),
+    ],
+    ids=["ou", "free-field", "cosine"],
+)
+@pytest.mark.parametrize("n, h", [(4, 1.0), (16, 0.25), (64, 0.1), (256, 0.3)])
+@pytest.mark.parametrize("mass", [0.05, 0.7, 2.0])
+def test_in_place_kernel_builds_equal_their_expressions(build, expression, n, h, mass):
+    lat = TimeLattice(n, h)
+    C = expression(mass, lat)
+    got = build(mass, lat).covariance
+    assert np.array_equal(got, GaussianEuclideanMeasure(lat, C, mass).covariance)
+    assert np.array_equal(got, 0.5 * (C + C.T))
+
+
+@pytest.mark.parametrize("n", [4, 256, 300])  # one partial tile, whole tiles, a ragged edge
+def test_tiled_symmetric_part_equals_the_whole_matrix_expression(n):
+    C = np.random.default_rng(n).standard_normal((n, n))
+    S, asym = lattice._symmetric_part(np.asfortranarray(C))
+    assert np.array_equal(S, 0.5 * (C + C.T))
+    assert asym == np.max(np.abs(C - C.T))
 
 
 def test_indefinite_covariance_rejected():
     lat = TimeLattice(4, 0.5)
     bad = np.diag([1.0, 1.0, 1.0, -0.5])
-    with pytest.raises(CovarianceError):
+    with pytest.raises(CovarianceError, match="min eigenvalue -5.000000e-01$"):
         GaussianEuclideanMeasure(lat, bad, mass=1.0, kernel=KERNEL_CUSTOM)
+
+
+def test_unproven_covariance_is_decided_by_its_spectrum(monkeypatch):
+    # a zero diagonal entry is outside the Cholesky test: the spectrum decides
+    # at construction, and a later read reuses it
+    calls = _count_eigvalsh(monkeypatch)
+    m = GaussianEuclideanMeasure(TimeLattice(4, 0.5), np.diag([1.0, 1.0, 1.0, 0.0]), mass=1.0)
+    assert calls == [(4, 4)]
+    assert m.eigenvalues.tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert calls == [(4, 4)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("site", [(0, 0), (1, 2)])
+def test_non_finite_covariance_rejected(value, site):
+    C = np.eye(4)
+    C[site] = C[site[::-1]] = value
+    with pytest.raises(CovarianceError, match="non-finite"):
+        GaussianEuclideanMeasure(TimeLattice(4, 0.5), C, mass=1.0)
+
+
+def _known_spectrum(n, seed, offset):
+    # Q diag(lam) Q^T with the smallest eigenvalue placed at offset * tau,
+    # tau = PSD_RTOL * max_i A_ii, and the others in [0.1, 1]
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.1, 1.0, n)
+    lam[0] = 0.0
+    lam[0] = offset * PSD_RTOL * float(np.max(np.diag((Q * lam) @ Q.T)))
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.floats(-3.0, 3.0), st.floats(-1.0 - 1.0e-4, -1.0 + 1.0e-4)),
+)
+def test_psd_proof_never_passes_below_the_threshold(n, seed, offset):
+    A = _known_spectrum(n, seed, offset)
+    before = A.copy()
+    proven = lattice._proves_psd(A)
+    assert np.array_equal(A, before)  # the shifted diagonal is restored bitwise
+    # exact verdict on the rounded matrix, in rationals: lambda_min(A) >= -tau
+    # exactly when A + tau I is positive semidefinite
+    exact = sp.Matrix(n, n, [sp.Rational(float(x)) for x in A.ravel()])
+    tau = sp.Rational(PSD_RTOL) * sp.Rational(float(A.diagonal().max()))
+    if proven:
+        assert (exact + tau * sp.eye(n)).is_positive_semidefinite
+    if offset >= -0.999:
+        assert proven  # a margin of 1e-3 tau is far above the proof's delta here
 
 
 def test_generating_functional_spike_frozen_value():

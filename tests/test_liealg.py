@@ -221,6 +221,15 @@ def test_cone_witness_outside_flipped_part_is_refused():
         hyperbolic_cone_check(split, bad, h_samples=4, seed=SEED)
 
 
+@pytest.mark.parametrize("generators", [np.empty((0, 3)), []], ids=["array", "list"])
+def test_cone_without_generators_is_refused(generators):
+    split, cone = builtin_cone("sl2R-adH")
+    empty = ConeSample(generators, cone.interior_witness, cone.sampled_points)
+    with pytest.raises(ValueError, match="no generators") as info:
+        hyperbolic_cone_check(split, empty, h_samples=4, seed=SEED)
+    assert not isinstance(info.value, ConeError)
+
+
 def test_factorization_closed_form_roundtrip():
     rng = np.random.default_rng(SEED)
     from scipy.linalg import expm
