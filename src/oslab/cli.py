@@ -9,22 +9,23 @@ Subcommands
     suite        every check above plus controls, one summary table
 
 Exit codes: 0 all checks pass; 1 a mathematical check failed, either in a
-report's verdict or by raising one of MATH_ERRORS; 2 any other ValueError,
-which is a malformed request (a bad configuration value or flag, an
-off-grid time or step, a shift off the lattice, mismatched lattices, a
-test function outside D+), and any argument argparse rejects.
+report's verdict or by raising a CheckFailure (oslab.errors); 2 any other
+ValueError, which is a malformed request (a bad configuration value or
+flag, an off-grid time or step, a shift off the lattice, mismatched
+lattices, a test function outside D+), and any argument argparse rejects.
 
 Reports are plain text written atomically; tables carry 17 significant
 digits, summaries 6.  With a fixed seed and config, repeated runs produce
 byte-identical files: no timestamps, no absolute paths, fixed iteration
 order.  suite computes each check with the helper its subcommand uses, so
 its summary numbers are the subcommands' numbers; a suite check that
-raises one of MATH_ERRORS gets a FAIL line with the error, and the other
+raises a CheckFailure gets a FAIL line with the error, and the other
 checks still run.
 
 Configuration is a key: value text file; command-line flags win over file
-values.  The default output directory comes from --out, then the
-OSLAB_OUT environment variable, then ./oslab-reports.
+values, and one parser per key (CONFIG_PARSERS) reads both.  The default
+output directory comes from --out, then the OSLAB_OUT environment
+variable, then ./oslab-reports.
 """
 from __future__ import annotations
 
@@ -37,9 +38,9 @@ from functools import cached_property
 import numpy as np
 
 from . import liealg
+from .errors import CheckFailure
 from .lattice import (
     PSD_RTOL,
-    CovarianceError,
     GaussianEuclideanMeasure,
     TestFunction,
     TimeLattice,
@@ -50,7 +51,6 @@ from .lattice import (
     ou_covariance,
 )
 from .positivity import (
-    HermiticityError,
     SampledObservable,
     certificate_to_text,
     delta_family,
@@ -60,10 +60,6 @@ from .positivity import (
 )
 from .reconstruction import (
     CONTRACTION_TOL,
-    OperatorBoundError,
-    ReflectionPositivityError,
-    RepresentabilityError,
-    SpectrumError,
     build_physical_space,
     check_reflection_intertwining,
     extract_hamiltonian,
@@ -101,20 +97,6 @@ REL_DEV_TOL = 0.01
 # bound on the distance of the sl2R-cartan dual from su(2)
 SU2_MATCH_TOL = 1.0e-10
 
-# errors that mean a mathematical check failed on valid input; every other
-# ValueError is a malformed request
-MATH_ERRORS = (
-    ReflectionPositivityError,
-    RepresentabilityError,
-    SpectrumError,
-    OperatorBoundError,
-    CovarianceError,
-    HermiticityError,
-    liealg.StructureError,
-    liealg.InvolutionError,
-    liealg.ConeError,
-)
-
 
 class ConfigError(ValueError):
     """Invalid configuration value, file, or flag combination."""
@@ -134,7 +116,6 @@ class RunConfig:
     step: float | None = None
     samples: int = 0
     seed: int = 2026
-    tolerance: float | None = None
     out: str | None = None
     algebra: str | None = None  # per-command default when unset
     families: int = 8
@@ -166,8 +147,6 @@ class RunConfig:
             raise ConfigError("family_size must be between 1 and 16")
         if any(d < 1 for d in self.degrees):
             raise ConfigError("degrees must be positive integers")
-        if self.tolerance is not None and not _positive_finite(self.tolerance):
-            raise ConfigError("tolerance must be positive and finite")
 
     def out_dir(self) -> str:
         return self.out or os.environ.get(OUT_ENV_VAR) or DEFAULT_OUT_DIR
@@ -177,16 +156,25 @@ def _positive_finite(x: float) -> bool:
     return 0.0 < x < np.inf  # False for NaN
 
 
-_INT_KEYS = ("n_points", "max_degree", "samples", "seed", "families", "family_size")
-_FLOAT_KEYS = ("spacing", "mass", "step", "tolerance")
-_STR_KEYS = ("instance", "out", "algebra")
+def _split(kind):
+    return lambda raw: tuple(kind(x) for x in raw.split())
+
+
+# every config key and how its text is read, from a file line or a flag
+CONFIG_PARSERS = {
+    "instance": str, "n_points": int, "spacing": float, "mass": float,
+    "max_degree": int, "times": _split(float), "degrees": _split(int),
+    "step": float, "samples": int, "seed": int, "out": str, "algebra": str,
+    "families": int, "family_size": int,
+}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Build a RunConfig from an optional file plus flag overrides."""
+    """Build a RunConfig from an optional file plus flag overrides, both
+    given as text; a flag wins over the same key in the file."""
     from .textio import parse_kv_text
 
-    values: dict = {}
+    scalars: dict = {}
     if path is not None:
         if not os.path.isfile(path):
             raise ConfigError("config file not found: %s" % path)
@@ -194,27 +182,14 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             scalars, blocks = parse_kv_text(fh.read())
         if blocks:
             raise ConfigError("config file takes only key: value lines")
-        for key, raw in scalars.items():
-            try:
-                if key in _INT_KEYS:
-                    values[key] = int(raw)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(raw)
-                elif key in _STR_KEYS:
-                    values[key] = raw
-                elif key == "times":
-                    values[key] = tuple(float(t) for t in raw.split())
-                elif key == "degrees":
-                    values[key] = tuple(int(d) for d in raw.split())
-                else:
-                    raise ConfigError("unknown config key %r" % key)
-            except (TypeError, ValueError) as exc:
-                if isinstance(exc, ConfigError):
-                    raise
-                raise ConfigError("bad value for %s: %r" % (key, raw)) from exc
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = val
+    values: dict = {}
+    for key, raw in [*scalars.items(), *overrides.items()]:
+        if key not in CONFIG_PARSERS:
+            raise ConfigError("unknown config key %r" % key)
+        try:
+            values[key] = CONFIG_PARSERS[key](raw)
+        except ValueError:
+            raise ConfigError("bad value for %s: %r" % (key, raw)) from None
     cfg = replace(RunConfig(), **values)
     cfg.validate()
     return cfg
@@ -243,7 +218,7 @@ def corrupted_functional(measure: GaussianEuclideanMeasure):
     return evaluate
 
 
-def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional, rtol: float):
+def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional):
     """Certificates over the seeded random families: cfg.families pd
     certificates over complex functions, then as many rp certificates over
     real D+ functions, all drawn from one generator seeded with cfg.seed."""
@@ -265,7 +240,7 @@ def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional, rtol:
         for _ in range(cfg.families):
             size = int(rng.integers(1, cfg.family_size + 1))
             family = [TestFunction(lattice, draw()) for _ in range(size)]
-            certs[-1].append(certify(functional, family, rtol))
+            certs[-1].append(certify(functional, family))
     return certs
 
 
@@ -318,18 +293,15 @@ def _finish(cfg: RunConfig, quiet: bool, command: str, filename: str, lines: lis
 def cmd_rp_check(cfg: RunConfig, quiet: bool = False) -> int:
     measure = build_measure(cfg)
     lattice = measure.lattice
-    rtol = cfg.tolerance if cfg.tolerance is not None else PSD_RTOL
     functional = measure.generating_functional
     runs = []  # (label, certificate)
     if cfg.instance == "corrupted":
         functional = corrupted_functional(measure)
-        runs.append(("pd fixture",
-                     pd_gram_certificate(functional, _corrupted_fixture(lattice), rtol)))
-    pd_certs, rp_certs = _family_certificates(cfg, lattice, functional, rtol)
+        runs.append(("pd fixture", pd_gram_certificate(functional, _corrupted_fixture(lattice))))
+    pd_certs, rp_certs = _family_certificates(cfg, lattice, functional)
     runs += [("pd family %d" % i, cert) for i, cert in enumerate(pd_certs)]
     if cfg.instance == "non-rp":
-        runs.append(("rp spike family",
-                     rp_gram_certificate(functional, _spike_family(lattice), rtol)))
+        runs.append(("rp spike family", rp_gram_certificate(functional, _spike_family(lattice))))
     runs += [("rp family %d" % i, cert) for i, cert in enumerate(rp_certs)]
 
     n_bad = sum(1 for _, cert in runs if cert.verdict != "positive")
@@ -337,7 +309,7 @@ def cmd_rp_check(cfg: RunConfig, quiet: bool = False) -> int:
     lines += _config_lines(
         cfg, ("instance", "n_points", "spacing", "mass", "seed", "families", "family_size")
     )
-    lines.append("tolerance: %s" % fmt(rtol))
+    lines.append("tolerance: %s" % fmt(PSD_RTOL))
     lines.append("certificates: %d" % len(runs))
     for label, cert in runs:
         lines.append(
@@ -407,9 +379,7 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
     measure = build_measure(cfg)
     lattice = measure.lattice
     exact = cfg.instance == "ou"
-    contraction_tol = cfg.tolerance if cfg.tolerance is not None else (
-        CONTRACTION_TOL if exact else 1.0e-3
-    )
+    contraction_tol = CONTRACTION_TOL if exact else 1.0e-3
     times = _basis_times(cfg, lattice)
     space = build_physical_space(measure, times=times, max_degree=cfg.max_degree)
 
@@ -423,15 +393,15 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
     ham, gaps, gap_dev, vacuum_energy = _ladder(space, T, step, cfg.mass)
 
     failures = []
-    if norm > 1.0 + contraction_tol:
+    if not norm <= 1.0 + contraction_tol:  # NaN fails every gate below
         failures.append("contraction norm %s exceeds bound" % fmt6(norm))
     if exact:
-        if semigroup_residual > RESIDUAL_TOL:
+        if not semigroup_residual <= RESIDUAL_TOL:
             failures.append("semigroup residual %s exceeds %g"
                             % (fmt6(semigroup_residual), RESIDUAL_TOL))
-        if vacuum_energy > RESIDUAL_TOL:
+        if not vacuum_energy <= RESIDUAL_TOL:
             failures.append("vacuum energy %s exceeds %g" % (fmt6(vacuum_energy), RESIDUAL_TOL))
-        if gap_dev > REL_DEV_TOL:
+        if not gap_dev <= REL_DEV_TOL:
             failures.append("spectrum gaps deviate %s from harmonic ladder" % fmt6(gap_dev))
     else:
         gap_dev = None
@@ -448,7 +418,7 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
             npoint_space, npoint_times, (1, 1), n_samples=cfg.samples, seed=cfg.seed
         )
         comparison = [("q(%s)q(%s)" % (fmt6(npoint_times[0]), fmt6(npoint_times[1])), rep)]
-        if rep.operator_vs_wick > REL_DEV_TOL:
+        if not rep.operator_vs_wick <= REL_DEV_TOL:
             failures.append("two-point comparison off by %s" % fmt6(rep.operator_vs_wick))
 
     lines = ["format: oslab-reconstruct v1"]
@@ -521,10 +491,10 @@ def cmd_npoint(cfg: RunConfig, quiet: bool = False) -> int:
         rep = verify_npoint_identity(space, times, degrees, n_samples=cfg.samples, seed=cfg.seed)
         label = "".join("q(%s)^%d" % (fmt6(t), d) for t, d in zip(times, degrees))
         reports.append((label, rep))
-        if rep.operator_vs_wick > REL_DEV_TOL:
+        if not rep.operator_vs_wick <= REL_DEV_TOL:
             failures.append("%s: operator vs Wick off by %s" % (label, fmt6(rep.operator_vs_wick)))
         sigma = rep.mc_sigma_deviation
-        if sigma is not None and sigma > 3.0:
+        if sigma is not None and not sigma <= 3.0:
             failures.append("%s: Monte Carlo off by %s sigma" % (label, fmt6(sigma)))
 
     lines = ["format: oslab-npoint v1"]
@@ -593,9 +563,9 @@ def cmd_cdual(cfg: RunConfig, quiet: bool = False) -> int:
         name, algebra, involution)
 
     failures = []
-    if double_residual > liealg.STRUCTURE_TOL:
+    if not double_residual <= liealg.STRUCTURE_TOL:
         failures.append("applying the dual twice drifts by %s" % fmt6(double_residual))
-    if su2_residual is not None and su2_residual > SU2_MATCH_TOL:
+    if su2_residual is not None and not su2_residual <= SU2_MATCH_TOL:
         failures.append("compact-form identification off by %s" % fmt6(su2_residual))
 
     lines = ["format: oslab-cdual v1"]
@@ -631,7 +601,7 @@ def _cone_failures(report) -> list:
         failures.append("non-hyperbolic cone point: %s" % bad.reason)
     if not report.witness_strictly_positive:
         failures.append("interior witness is not a strictly positive combination")
-    if report.invariance_residual > liealg.CONE_RESIDUAL_TOL:
+    if not report.invariance_residual <= liealg.CONE_RESIDUAL_TOL:
         failures.append("cone not invariant under the fixed subgroup (residual %s)"
                         % fmt6(report.invariance_residual))
     return failures
@@ -648,7 +618,7 @@ def _membership(cfg: RunConfig):
     if membership.success_rate < 1.0:
         failures.append("quadrant products failed to re-factor (%d of %d)"
                         % (membership.n_products - membership.n_success, membership.n_products))
-    elif membership.worst_residual > RESIDUAL_TOL:
+    elif not membership.worst_residual <= RESIDUAL_TOL:
         failures.append("re-factorization residual %s" % fmt6(membership.worst_residual))
     return membership, control, failures
 
@@ -728,8 +698,7 @@ class _SuiteInputs:
 
     @cached_property
     def families(self):
-        return _family_certificates(self.cfg, self.lattice, self.ou.generating_functional,
-                                    PSD_RTOL)
+        return _family_certificates(self.cfg, self.lattice, self.ou.generating_functional)
 
     @cached_property
     def space(self):
@@ -893,23 +862,19 @@ SUITE_CHECKS = {
 }
 
 
-def _suite_results(cfg: RunConfig, inject_failure: str | None = None):
+def _suite_results(cfg: RunConfig):
     """Run every suite check; returns [(name, passed, detail)] in fixed order.
 
-    A check that raises one of MATH_ERRORS fails with the error in its
-    detail, and the other checks still run.  The check named by
-    inject_failure is reported failed without being run.
+    A check that raises a CheckFailure fails with the error in its detail,
+    and the other checks still run.
     """
     run = _SuiteInputs(cfg)
     results = []
     for name, check in SUITE_CHECKS.items():
-        if name == inject_failure:
-            passed, detail = False, "injected failure (diagnostic)"
-        else:
-            try:
-                passed, detail = check(run)
-            except MATH_ERRORS as exc:
-                passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
+        try:
+            passed, detail = check(run)
+        except CheckFailure as exc:
+            passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
         results.append((name, passed, detail))
     return results
 
@@ -925,19 +890,14 @@ def _suite_fits(cfg: RunConfig, n_points: int) -> bool:
     return reach <= lattice.max_time + 1.0e-12
 
 
-def cmd_suite(cfg: RunConfig, quiet: bool = False, inject_failure: str | None = None,
-              config_note: str = "built-in defaults") -> int:
-    if inject_failure is not None and inject_failure not in SUITE_CHECKS:
-        raise ConfigError(
-            "unknown check %r; choose from %s" % (inject_failure, ", ".join(SUITE_CHECKS))
-        )
+def cmd_suite(cfg: RunConfig, quiet: bool = False, config_note: str = "built-in defaults") -> int:
     if not _suite_fits(cfg, cfg.n_points):
         fits = (n for n in range(cfg.n_points, 4097, 2) if _suite_fits(cfg, n))
         raise ConfigError(
             "suite shifts its basis times by up to %d spacings, off the lattice at n_points %d; "
             "the smallest n_points that fits is %s"
             % (SUITE_MAX_STEPS, cfg.n_points, next(fits, "none up to 4096")))
-    results = _suite_results(cfg, inject_failure)
+    results = _suite_results(cfg)
 
     n_failed = sum(1 for _, passed, _ in results if not passed)
     lines = ["format: oslab-suite v1"]
@@ -969,12 +929,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_instance=False, with_algebra=None):
         p.add_argument("--config", help="key: value configuration file")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--samples", type=int,
+        p.add_argument("--seed", help="random seed")
+        p.add_argument("--samples",
                        help="Monte-Carlo sample count (0 disables; else at least 1000)")
         p.add_argument("--out", help="output directory (default: $%s or %s)"
                        % (OUT_ENV_VAR, DEFAULT_OUT_DIR))
-        p.add_argument("--tolerance", type=float, help="primary tolerance override")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
         if with_instance:
             p.add_argument("--instance", choices=MEASURE_INSTANCES, help="measure instance")
@@ -986,10 +945,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_instance=True)
     p = sub.add_parser("reconstruct", help="build the physical space and spectrum")
     common(p, with_instance=True)
-    p.add_argument("--step", type=float, help="transfer step (default: lattice spacing)")
-    p.add_argument("--n-points", type=int, dest="n_points", help="lattice size (even)")
-    p.add_argument("--spacing", type=float, help="lattice spacing")
-    p.add_argument("--mass", type=float, help="mass parameter")
+    p.add_argument("--step", help="transfer step (default: lattice spacing)")
+    p.add_argument("--n-points", dest="n_points", help="lattice size (even)")
+    p.add_argument("--spacing", help="lattice spacing")
+    p.add_argument("--mass", help="mass parameter")
     p = sub.add_parser("npoint", help="verify the multi-time moment identity")
     common(p, with_instance=True)
     p.add_argument("--times", help="observable times, space separated")
@@ -1000,16 +959,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, with_algebra="sl2R-adH")
     p = sub.add_parser("suite", help="run every check, one summary")
     common(p)
-    p.add_argument("--inject-failure", metavar="NAME",
-                   help="force the named check to fail (%s)" % ", ".join(SUITE_CHECKS))
 
     return parser
 
-
-_OVERRIDE_KEYS = (
-    "instance", "seed", "samples", "out", "tolerance", "step",
-    "n_points", "spacing", "mass", "algebra",
-)
 
 COMMANDS = {
     "rp-check": cmd_rp_check,
@@ -1023,23 +975,16 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _OVERRIDE_KEYS if hasattr(args, key)}
+    overrides = {key: getattr(args, key) for key in CONFIG_PARSERS
+                 if getattr(args, key, None) is not None}
     try:
-        for key, kind, what in (("times", float, "numbers"), ("degrees", int, "integers")):
-            if getattr(args, key, None) is not None:
-                try:
-                    overrides[key] = tuple(kind(x) for x in getattr(args, key).split())
-                except ValueError:
-                    raise ConfigError("--%s takes space-separated %s" % (key, what)) from None
         cfg = load_config(args.config, overrides)
         extra = {}
         if args.command == "suite":
-            user = args.config is not None or any(
-                v is not None for k, v in overrides.items() if k != "out")
-            extra = {"inject_failure": args.inject_failure,
-                     "config_note": "user-supplied" if user else "built-in defaults"}
+            user = args.config is not None or any(k != "out" for k in overrides)
+            extra = {"config_note": "user-supplied" if user else "built-in defaults"}
         return COMMANDS[args.command](cfg, quiet=args.quiet, **extra)
-    except MATH_ERRORS as exc:
+    except CheckFailure as exc:
         print("check failed: %s" % exc, file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ValueError as exc:

@@ -58,6 +58,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import CheckFailure
+
 # Relative floor for treating the smallest eigenvalue of a PSD matrix (a
 # covariance, a certificate gram) as a violation.
 PSD_RTOL = 1.0e-10
@@ -74,7 +76,7 @@ class LatticeMismatchError(ValueError):
     """Two objects built over different time lattices were combined."""
 
 
-class CovarianceError(ValueError):
+class CovarianceError(CheckFailure):
     """Covariance matrix failed a shape, symmetry, or positivity check."""
 
 

@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CheckFailure
 from .textio import fmt, matrix_lines, parse_kv_text
 
 STRUCTURE_TOL = 1.0e-12
@@ -44,15 +45,15 @@ CONE_RESIDUAL_TOL = 1.0e-6
 _JACOBI_BLOCK_ENTRIES = 1 << 16
 
 
-class StructureError(ValueError):
+class StructureError(CheckFailure):
     """Structure constants violate antisymmetry or the Jacobi identity."""
 
 
-class InvolutionError(ValueError):
+class InvolutionError(CheckFailure):
     """The proposed involution is not an involutive automorphism."""
 
 
-class ConeError(ValueError):
+class ConeError(CheckFailure):
     """A cone sample failed validation against its split."""
 
 
@@ -93,9 +94,9 @@ def validate_algebra(
     c = algebra.structure
     anti = float(np.max(np.abs(c + np.swapaxes(c, 0, 1))))
     jac_res = _jacobi_residual(c)
-    if anti > tol:
+    if not anti <= tol:  # NaN fails
         raise StructureError("antisymmetry residual %.3e exceeds %.1e" % (anti, tol))
-    if jac_res > tol:
+    if not jac_res <= tol:
         raise StructureError("Jacobi residual %.3e exceeds %.1e" % (jac_res, tol))
     return ValidationReport(anti, jac_res)
 
@@ -113,14 +114,14 @@ def _jacobi_residual(c: np.ndarray) -> float:
         return 0.0
     n = c.shape[0]
     step = max(1, _JACOBI_BLOCK_ENTRIES // n**3)
-    worst = 0.0
+    worst = []
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)
         jac = np.tensordot(c, c[blk], axes=(2, 1)).transpose(2, 0, 1, 3)
         jac = jac + np.tensordot(c[:, blk], c, axes=(2, 1)).transpose(1, 2, 0, 3)
         jac += np.tensordot(c[blk], c, axes=(2, 1))
-        worst = max(worst, float(np.max(np.abs(jac, out=jac))))
-    return worst
+        worst.append(np.max(np.abs(jac, out=jac)))
+    return float(np.max(worst))  # NaN propagates, unlike the builtin max
 
 
 def _brackets(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,7 +201,7 @@ def _rref_rows(mat: np.ndarray, tol: float = 1.0e-10) -> np.ndarray:
 def _bracket_residual(c, h, q, Ph, Pq) -> float:
     """Largest part of [a, b] outside its subspace: [h,h], [q,q] in h; [h,q] in q."""
     outside = [_brackets(c, a, b) @ P.T for a, b, P in ((h, h, Pq), (h, q, Ph), (q, q, Pq))]
-    return max((float(np.max(np.abs(o))) for o in outside if o.size), default=0.0)
+    return float(np.max([np.max(np.abs(o)) for o in outside if o.size], initial=0.0))
 
 
 def split_by_involution(
@@ -215,12 +216,12 @@ def split_by_involution(
     n = algebra.dim
     if t.shape != (n, n):
         raise InvolutionError("involution matrix shape %r does not match dim %d" % (t.shape, n))
-    if float(np.max(np.abs(t @ t - np.eye(n)))) > tol:
+    if not float(np.max(np.abs(t @ t - np.eye(n)))) <= tol:  # NaN fails
         raise InvolutionError("tau^2 differs from the identity beyond %.1e" % tol)
     c = algebra.structure
     # [tau X_i, tau X_j] versus tau([X_i, X_j])
     defect = float(np.max(np.abs(_brackets(c, t.T, t.T) - c @ t.T)))
-    if defect > tol:
+    if not defect <= tol:
         raise InvolutionError("tau is not an automorphism (residual %.3e)" % defect)
     Ph, Pq = 0.5 * (np.eye(n) + t), 0.5 * (np.eye(n) - t)
     h, q = _rref_rows(Ph.T), _rref_rows(Pq.T)
@@ -230,7 +231,7 @@ def split_by_involution(
             % (h.shape[0], q.shape[0], n)
         )
     residual = _bracket_residual(c, h, q, Ph, Pq)
-    if residual > tol:
+    if not residual <= tol:
         raise InvolutionError("bracket relations fail by %.3e" % residual)
     return InvolutionSplit(algebra, involution, h, q, residual)
 
@@ -369,7 +370,8 @@ def hyperbolic_cone_check(
     vectors = [cone.interior_witness] + list(cone.generators) + list(cone.sampled_points)
     for i, v in enumerate(vectors):
         v = np.asarray(v, dtype=float)
-        if float(np.max(np.abs(Pq @ v - v))) > STRUCTURE_TOL * max(1.0, float(np.max(np.abs(v)))):
+        outside = float(np.max(np.abs(Pq @ v - v)))
+        if not outside <= STRUCTURE_TOL * max(1.0, float(np.max(np.abs(v)))):  # NaN fails
             raise ConeError("cone vector %d is not in the -1 eigenspace" % i)
 
     coeffs, res = _nnls_residual(cone.generators, cone.interior_witness)

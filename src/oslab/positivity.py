@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import CheckFailure
 from .lattice import (
     PSD_RTOL,
     GaussianEuclideanMeasure,
@@ -49,7 +50,7 @@ KIND_RP = "reflection-positivity"
 KIND_RP_SAMPLED = "sampled-reflection-positivity"
 
 
-class HermiticityError(ValueError):
+class HermiticityError(CheckFailure):
     """Gram asymmetry exceeded the machine-level tolerance."""
 
 

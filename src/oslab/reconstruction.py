@@ -41,6 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import CheckFailure
 from .lattice import (
     GaussianEuclideanMeasure,
     LatticeMismatchError,
@@ -60,7 +61,7 @@ KIND_MONOMIAL = "field_monomial"
 KIND_EXPONENTIAL = "exponential"
 
 
-class ReflectionPositivityError(ValueError):
+class ReflectionPositivityError(CheckFailure):
     """The reflected Gram came out indefinite; no quotient space exists."""
 
 
@@ -68,15 +69,15 @@ class ShiftRangeError(ValueError):
     """A requested time shift pushes basis support off the lattice."""
 
 
-class RepresentabilityError(ValueError):
+class RepresentabilityError(CheckFailure):
     """A shifted functional is not exactly expandable in the basis span."""
 
 
-class SpectrumError(ValueError):
+class SpectrumError(CheckFailure):
     """Transfer matrix is not positive definite; no Hamiltonian logarithm."""
 
 
-class OperatorBoundError(ValueError):
+class OperatorBoundError(CheckFailure):
     """The reflected Gram or the transfer matrix broke its symmetry or
     contraction bound."""
 

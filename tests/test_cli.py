@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, reports, determinism."""
+import dataclasses
 import os
 import re
 import subprocess
@@ -8,19 +9,17 @@ import numpy as np
 import pytest
 
 import oslab
-from oslab import cli, lattice
+from oslab import cli, lattice, liealg
 from oslab.cli import (
+    CONFIG_PARSERS,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
-    MATH_ERRORS,
     SUITE_CHECKS,
     ConfigError,
     main,
 )
-from oslab.lattice import GaussianEuclideanMeasure, LatticeMismatchError
-from oslab.positivity import DplusMembershipError
-from oslab.reconstruction import ShiftRangeError
+from oslab.lattice import GaussianEuclideanMeasure
 
 
 def run(tmp_path, *args, sub=""):
@@ -103,8 +102,6 @@ def test_small_sample_count_is_usage_error(tmp_path):
     ("rp-check", "mass: nan\n"),
     ("reconstruct", "step: nan\n"),
     ("reconstruct", "step: inf\n"),
-    ("reconstruct", "tolerance: nan\n"),
-    ("rp-check", "tolerance: inf\n"),
 ], ids=lambda v: v.strip().replace("\n", ",").replace(": ", "-"))
 def test_non_finite_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "run.cfg"
@@ -113,6 +110,56 @@ def test_non_finite_config_value_is_usage_error(tmp_path, capsys, command, confi
     assert rc == EXIT_USAGE
     key = config.splitlines()[-1].split(":")[0]
     assert capsys.readouterr().err == "error: %s must be positive and finite\n" % key
+    assert not out.exists()
+
+
+# every config key that has a flag: (command, flag, bad values)
+FLAG_KEYS = {
+    "seed": ("rp-check", "--seed", ("x",)),
+    "samples": ("npoint", "--samples", ("x",)),
+    "step": ("reconstruct", "--step", ("x", "nan")),
+    "n_points": ("reconstruct", "--n-points", ("x",)),
+    "spacing": ("reconstruct", "--spacing", ("x", "nan")),
+    "mass": ("reconstruct", "--mass", ("x", "nan")),
+    "times": ("npoint", "--times", ("x",)),
+    "degrees": ("npoint", "--degrees", ("x",)),
+}
+
+
+@pytest.mark.parametrize("key, value", [(k, v) for k, (_, _, vs) in FLAG_KEYS.items() for v in vs])
+def test_flag_and_file_values_share_one_parser(tmp_path, capsys, key, value):
+    # one parser reads a flag and a file line, so a bad value fails alike
+    command, flag, _ = FLAG_KEYS[key]
+    assert key in CONFIG_PARSERS
+    rc, _ = run(tmp_path, command, flag, value, sub="flag")
+    by_flag = capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s: %s\n" % (key, value))
+    assert run(tmp_path, command, "--config", str(cfg), sub="file")[0] == rc == EXIT_USAGE
+    assert capsys.readouterr().err == by_flag
+    if value == "x":
+        assert by_flag == "error: bad value for %s: 'x'\n" % key
+    else:
+        assert by_flag == "error: %s must be positive and finite\n" % key
+
+
+@pytest.mark.parametrize("argv", [
+    ("rp-check", "--tolerance", "1"),
+    ("suite", "--inject-failure", "covariance-psd"),
+], ids=["tolerance", "inject-failure"])
+def test_removed_flags_are_usage_errors(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_tolerance_config_key_is_unknown(tmp_path, capsys):
+    # a certificate's tolerance is fixed (PSD_RTOL); no request can set it
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tolerance: 1\n")
+    rc, out = run(tmp_path, "rp-check", "--instance", "non-rp", "--config", str(cfg))
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: unknown config key 'tolerance'\n"
     assert not out.exists()
 
 
@@ -308,6 +355,41 @@ def test_malformed_algebra_file_is_usage_error(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _with_nan(target, name, field):
+    """target.name with `field` of its result (a tuple index or a dataclass
+    field) replaced by NaN."""
+    real = getattr(target, name)
+
+    def fake(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if isinstance(field, int):
+            return out[:field] + (float("nan"),) + out[field + 1:]
+        return dataclasses.replace(out, **{field: float("nan")})
+
+    return fake
+
+
+# report gate -> (command, module, function whose result goes NaN, field)
+NAN_RESIDUALS = {
+    "reconstruct-gap-deviation": ("reconstruct", cli, "_ladder", 2),
+    "npoint-operator-vs-wick": ("npoint", cli, "verify_npoint_identity", "lhs_operator"),
+    "cdual-double-dual": ("cdual", cli, "_double_dual", 4),
+    "cone-invariance": ("cone-check", liealg, "hyperbolic_cone_check", "invariance_residual"),
+    "cone-membership": ("cone-check", liealg, "semigroup_membership_sample", "worst_residual"),
+}
+
+
+@pytest.mark.parametrize("command, target, name, field", NAN_RESIDUALS.values(),
+                         ids=list(NAN_RESIDUALS))
+def test_nan_residual_fails_the_report(tmp_path, monkeypatch, command, target, name, field):
+    # every report gate reads not (residual <= tol), so a NaN residual fails
+    monkeypatch.setattr(target, name, _with_nan(target, name, field))
+    rc, out = run(tmp_path, command)
+    assert rc == EXIT_CHECK_FAILED
+    report = out / ("%s_report.txt" % command.replace("-", "_"))
+    assert "verdict: fail" in report.read_text()
+
+
 def test_cone_check_default_passes(tmp_path):
     rc, out = run(tmp_path, "cone-check")
     assert rc == EXIT_OK
@@ -342,8 +424,9 @@ def test_suite_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("name", SUITE_CHECKS)
-def test_suite_injected_failure_is_loud(tmp_path, name):
-    rc, out = run(tmp_path, "suite", "--inject-failure", name)
+def test_suite_injected_failure_is_loud(tmp_path, monkeypatch, name):
+    monkeypatch.setitem(SUITE_CHECKS, name, lambda _: (False, "injected failure (diagnostic)"))
+    rc, out = run(tmp_path, "suite")
     assert rc == EXIT_CHECK_FAILED
     text = (out / "suite_summary.txt").read_text()
     failed = [line for line in text.splitlines() if ": FAIL" in line]
@@ -418,12 +501,36 @@ def test_suite_agrees_with_subcommands(tmp_path):
     same(wedge, cone["wedge_control_rate"])
 
 
-@pytest.mark.parametrize(
-    "error, code",
-    [(cls, EXIT_CHECK_FAILED) for cls in MATH_ERRORS]
-    + [(cls, EXIT_USAGE) for cls in (
-        ConfigError, ShiftRangeError, LatticeMismatchError, DplusMembershipError, ValueError)],
-)
+# the exit code of every exported error class, plus ConfigError and a plain
+# ValueError: 1 for a mathematical failure, 2 for a malformed request
+EXIT_CODE_OF = {
+    oslab.CheckFailure: EXIT_CHECK_FAILED,
+    oslab.CovarianceError: EXIT_CHECK_FAILED,
+    oslab.HermiticityError: EXIT_CHECK_FAILED,
+    oslab.ReflectionPositivityError: EXIT_CHECK_FAILED,
+    oslab.RepresentabilityError: EXIT_CHECK_FAILED,
+    oslab.SpectrumError: EXIT_CHECK_FAILED,
+    oslab.OperatorBoundError: EXIT_CHECK_FAILED,
+    oslab.StructureError: EXIT_CHECK_FAILED,
+    oslab.InvolutionError: EXIT_CHECK_FAILED,
+    oslab.ConeError: EXIT_CHECK_FAILED,
+    ConfigError: EXIT_USAGE,
+    oslab.ShiftRangeError: EXIT_USAGE,
+    oslab.LatticeMismatchError: EXIT_USAGE,
+    oslab.DplusMembershipError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+}
+
+
+def test_every_exported_error_class_has_an_exit_code():
+    exported = {obj for obj in map(oslab.__dict__.get, oslab.__all__)
+                if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert exported | {ConfigError, ValueError} == set(EXIT_CODE_OF)
+    for cls, code in EXIT_CODE_OF.items():
+        assert (code == EXIT_CHECK_FAILED) == issubclass(cls, oslab.CheckFailure), cls
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODE_OF.items())
 def test_exit_code_follows_the_error_class(tmp_path, monkeypatch, capsys, error, code):
     # a mathematical failure exits 1, every other value error is a usage error
     def fail(*_args, **_kwargs):
@@ -522,11 +629,6 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
-
-
-def test_suite_unknown_injection_is_usage_error(tmp_path):
-    rc, _ = run(tmp_path, "suite", "--inject-failure", "no-such-check")
-    assert rc == EXIT_USAGE
 
 
 def test_quiet_flag_silences_stdout(tmp_path, capsys):

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from oslab import liealg
+from oslab.errors import CheckFailure
 from oslab.liealg import (
     ConeError,
     ConeSample,
@@ -219,6 +220,60 @@ def test_cone_witness_outside_flipped_part_is_refused():
     bad = ConeSample(cone.generators, np.array([1.0, 1.0, 1.0]), cone.sampled_points)
     with pytest.raises(ConeError):
         hyperbolic_cone_check(split, bad, h_samples=4, seed=SEED)
+
+
+def _nan_pair_cartan():
+    """sl2R-cartan with one antisymmetric pair of structure constants NaN."""
+    alg, tau = builtin_algebra("sl2R-cartan")
+    c = alg.structure.copy()
+    c[0, 1, 2] = c[1, 0, 2] = np.nan
+    return LieAlgebra(alg.dim, alg.labels, c), tau
+
+
+def _nan_tau_split():
+    alg, tau = builtin_algebra("sl2R-cartan")
+    t = tau.matrix.copy()
+    t[0, 0] = np.nan
+    return split_by_involution(alg, Involution(t))
+
+
+def _nan_cone_witness():
+    split, cone = builtin_cone("sl2R-adH")
+    witness = np.array([0.0, np.nan, 1.0])
+    return hyperbolic_cone_check(split, ConeSample(cone.generators, witness, cone.sampled_points))
+
+
+# gate -> (error, its message, what runs it, the residual helper forced to NaN or None)
+NAN_GATES = {
+    "antisymmetry": (StructureError, "antisymmetry",
+                     lambda: validate_algebra(_nan_pair_cartan()[0]), None),
+    "jacobi": (StructureError, "Jacobi",
+               lambda: validate_algebra(builtin_algebra("heisenberg")[0]), "_jacobi_residual"),
+    "tau-squared": (InvolutionError, r"tau\^2", _nan_tau_split, None),
+    "automorphism": (InvolutionError, "automorphism",
+                     lambda: split_by_involution(*_nan_pair_cartan()), None),
+    "bracket": (InvolutionError, "bracket", cartan_split, "_bracket_residual"),
+    "cone-q-membership": (ConeError, "eigenspace", _nan_cone_witness, None),
+}
+
+
+@pytest.mark.parametrize("error, message, call, helper", NAN_GATES.values(),
+                         ids=list(NAN_GATES))
+def test_nan_residual_fails_its_gate(monkeypatch, error, message, call, helper):
+    # a NaN residual compares false with every bound, so each gate is
+    # written as not (residual <= tol) and a NaN fails it
+    if helper is not None:
+        monkeypatch.setattr(liealg, helper, lambda *_args: float("nan"))
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert isinstance(info.value, CheckFailure)
+
+
+def test_jacobi_residual_propagates_nan():
+    alg, _ = builtin_algebra("sl2R-cartan")
+    c = alg.structure.copy()
+    c[0, 1, 2] = np.nan
+    assert np.isnan(liealg._jacobi_residual(c))
 
 
 @pytest.mark.parametrize("generators", [np.empty((0, 3)), []], ids=["array", "list"])
