@@ -157,7 +157,6 @@ def _certify(
 def pd_gram_certificate(
     functional: Callable[[TestFunction], complex],
     functions: Sequence[TestFunction],
-    rtol: float = PSD_RTOL,
 ) -> PsdCertificate:
     """Certify gram[k][l] = S(f_k - conj(f_l)) over a complex family."""
     if len(functions) == 0:
@@ -165,20 +164,19 @@ def pd_gram_certificate(
     measure = _own_measure(functional)
     if measure is not None:
         F = _family_rows(measure, functions)
-        return _certify(KIND_PD, generating_functional_gram(measure, F, F.conj()), rtol)
+        return _certify(KIND_PD, generating_functional_gram(measure, F, F.conj()), PSD_RTOL)
     K = len(functions)
     gram = np.zeros((K, K), dtype=complex)
     conjugates = [f.conjugate() for f in functions]
     for k in range(K):
         for l in range(K):
             gram[k, l] = functional(functions[k] - conjugates[l])
-    return _certify(KIND_PD, gram, rtol)
+    return _certify(KIND_PD, gram, PSD_RTOL)
 
 
 def rp_gram_certificate(
     functional: Callable[[TestFunction], complex],
     functions: Sequence[TestFunction],
-    rtol: float = PSD_RTOL,
 ) -> PsdCertificate:
     """Certify gram[k][l] = S(reflect(f_k) - f_l) over a positive-time family."""
     if len(functions) == 0:
@@ -192,7 +190,7 @@ def rp_gram_certificate(
     measure = _own_measure(functional)
     if measure is not None:
         F = _family_rows(measure, functions).real
-        return _certify(KIND_RP, generating_functional_gram(measure, F[:, ::-1], F), rtol)
+        return _certify(KIND_RP, generating_functional_gram(measure, F[:, ::-1], F), PSD_RTOL)
     K = len(functions)
     gram = np.zeros((K, K), dtype=complex)
     reflected = [reflect(f) for f in functions]
@@ -201,7 +199,7 @@ def rp_gram_certificate(
             gram[k, l] = functional(reflected[k] - functions[l])
     if np.max(np.abs(gram.imag)) == 0.0:
         gram = gram.real
-    return _certify(KIND_RP, gram, rtol)
+    return _certify(KIND_RP, gram, PSD_RTOL)
 
 
 # -- sampled certificates -----------------------------------------------------

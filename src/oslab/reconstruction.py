@@ -415,7 +415,7 @@ def transfer_operator(
             if defect > REPRESENTABILITY_RTOL:
                 raise RepresentabilityError(
                     "shifted functional %s is not representable in the basis "
-                    "span (norm defect %.3e); use exact=False to compress"
+                    "span (norm defect %.3e)"
                     % (space.basis[k].shifted(step).describe(), defect)
                 )
         asym = float(np.max(np.abs(T - T.conj().T)))

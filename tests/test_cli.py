@@ -20,6 +20,7 @@ from oslab.cli import (
     main,
 )
 from oslab.lattice import GaussianEuclideanMeasure
+from oslab.textio import fmt6
 
 
 def run(tmp_path, *args, sub=""):
@@ -102,6 +103,11 @@ def test_small_sample_count_is_usage_error(tmp_path):
     ("rp-check", "mass: nan\n"),
     ("reconstruct", "step: nan\n"),
     ("reconstruct", "step: inf\n"),
+    ("reconstruct", "times: nan 0.375\n"),
+    ("reconstruct", "times: inf 0.375\n"),
+    ("reconstruct", "times: -0.125 0.375\n"),
+    ("npoint", "degrees: 1 1\ntimes: nan 0.375\n"),
+    ("npoint", "degrees: 1 1\ntimes: 0 0.375\n"),
 ], ids=lambda v: v.strip().replace("\n", ",").replace(": ", "-"))
 def test_non_finite_config_value_is_usage_error(tmp_path, capsys, command, config):
     cfg = tmp_path / "run.cfg"
@@ -121,7 +127,7 @@ FLAG_KEYS = {
     "n_points": ("reconstruct", "--n-points", ("x",)),
     "spacing": ("reconstruct", "--spacing", ("x", "nan")),
     "mass": ("reconstruct", "--mass", ("x", "nan")),
-    "times": ("npoint", "--times", ("x",)),
+    "times": ("npoint", "--times", ("x", "nan 0.375", "inf")),
     "degrees": ("npoint", "--degrees", ("x",)),
 }
 
@@ -355,39 +361,68 @@ def test_malformed_algebra_file_is_usage_error(tmp_path, capsys, command, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def _with_nan(target, name, field):
-    """target.name with `field` of its result (a tuple index or a dataclass
-    field) replaced by NaN."""
+def _with_nan(target, name, field, call=None):
+    """target.name with the dataclass field `field` of its result set to
+    NaN (an all-NaN array for an array field), on every call or only on
+    call number `call`, counted from 0."""
     real = getattr(target, name)
+    calls = []
 
     def fake(*args, **kwargs):
         out = real(*args, **kwargs)
-        if isinstance(field, int):
-            return out[:field] + (float("nan"),) + out[field + 1:]
-        return dataclasses.replace(out, **{field: float("nan")})
+        calls.append(name)
+        if call is not None and len(calls) != call + 1:
+            return out
+        value = getattr(out, field)
+        nan = np.full_like(value, np.nan) if isinstance(value, np.ndarray) else float("nan")
+        return dataclasses.replace(out, **{field: nan})
 
     return fake
 
 
-# report gate -> (command, module, function whose result goes NaN, field)
+# report gate -> (command, module, function whose result goes NaN, field, call or None)
 NAN_RESIDUALS = {
-    "reconstruct-gap-deviation": ("reconstruct", cli, "_ladder", 2),
-    "npoint-operator-vs-wick": ("npoint", cli, "verify_npoint_identity", "lhs_operator"),
-    "cdual-double-dual": ("cdual", cli, "_double_dual", 4),
-    "cone-invariance": ("cone-check", liealg, "hyperbolic_cone_check", "invariance_residual"),
-    "cone-membership": ("cone-check", liealg, "semigroup_membership_sample", "worst_residual"),
+    "reconstruct-gap-deviation": ("reconstruct", cli, "extract_hamiltonian", "spectrum", None),
+    "npoint-operator-vs-wick": ("npoint", cli, "verify_npoint_identity", "lhs_operator", None),
+    "cdual-double-dual": ("cdual", liealg, "c_dual", "structure", 1),
+    "cone-invariance": ("cone-check", liealg, "hyperbolic_cone_check", "invariance_residual",
+                        None),
+    "cone-membership": ("cone-check", liealg, "semigroup_membership_sample", "worst_residual",
+                        None),
 }
 
 
-@pytest.mark.parametrize("command, target, name, field", NAN_RESIDUALS.values(),
+@pytest.mark.parametrize("command, target, name, field, call", NAN_RESIDUALS.values(),
                          ids=list(NAN_RESIDUALS))
-def test_nan_residual_fails_the_report(tmp_path, monkeypatch, command, target, name, field):
-    # every report gate reads not (residual <= tol), so a NaN residual fails
-    monkeypatch.setattr(target, name, _with_nan(target, name, field))
+def test_nan_residual_fails_the_report(tmp_path, monkeypatch, command, target, name, field,
+                                       call):
+    # every report gate is _gate, which fails unless residual <= tol, so a
+    # NaN residual fails; the gates inside _ladder and _double_dual get NaN
+    # at their input: a NaN spectrum, and a NaN structure from the second
+    # c_dual call (the dual of the dual)
+    monkeypatch.setattr(target, name, _with_nan(target, name, field, call))
     rc, out = run(tmp_path, command)
     assert rc == EXIT_CHECK_FAILED
     report = out / ("%s_report.txt" % command.replace("-", "_"))
     assert "verdict: fail" in report.read_text()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "npoint"])
+def test_monte_carlo_arm_beyond_three_sigma_fails(tmp_path, monkeypatch, command):
+    # reconstruct's two-point case runs npoint's gates, the 3-sigma arm too
+    real = cli.verify_npoint_identity
+
+    def four_sigma_off(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, rhs_mc=rep.rhs_wick + 4.0 * rep.mc_se)
+
+    monkeypatch.setattr(cli, "verify_npoint_identity", four_sigma_off)
+    rc, out = run(tmp_path, command, "--samples", "1000")
+    assert rc == EXIT_CHECK_FAILED
+    text = (out / ("%s_report.txt" % command)).read_text()
+    assert "verdict: fail" in text
+    assert re.search(r"^failure: q\(0\.125\)\^1q\(0\.375\)\^1: Monte Carlo off by 4 sigma$",
+                     text, re.M)
 
 
 def test_cone_check_default_passes(tmp_path):
@@ -499,6 +534,65 @@ def test_suite_agrees_with_subcommands(tmp_path):
     same(rate, cone["membership_rate"])
     same(worst_residual, cone["membership_worst_residual"])
     same(wedge, cone["wedge_control_rate"])
+
+
+def test_suite_figures_equal_the_subcommands_at_default_config(tmp_path):
+    # each suite check that mirrors a subcommand calls that subcommand's
+    # function, so at the default config its figures equal the report's at
+    # six digits
+    _, suite = run(tmp_path, "suite", sub="suite")
+    text = (suite / "suite_summary.txt").read_text()
+
+    def figures(name):
+        return [fmt6(x) for x in _suite_numbers(text, name)]
+
+    def report(command, *args):
+        assert run(tmp_path, command, *args, sub=command)[0] == EXIT_OK
+        return tmp_path / command / ("%s_report.txt" % command.replace("-", "_"))
+
+    rec = _fields(report("reconstruct"))
+    assert figures("reconstruction-spectrum") == [
+        fmt6(float(rec[k])) for k in ("gap_deviation", "vacuum_energy_norm")]
+
+    rel_devs = [line.split(": ")[1] for line in report("npoint").read_text().splitlines()
+                if line.startswith("  rel_dev: ")]
+    assert figures("npoint-identity") == [fmt6(float(v)) for v in rel_devs]
+
+    cdual = _fields(report("cdual", "sl2R-cartan"))
+    assert figures("cdual-involution") == [fmt6(float(cdual[k])) for k in (
+        "dual_jacobi_residual", "double_dual_residual", "su2_match_residual")]
+
+    cone = _fields(report("cone-check"))
+    assert figures("cone-hyperbolic") == [fmt6(float(cone["invariance_residual"]))]
+    assert figures("semigroup-membership") == [fmt6(float(cone[k])) for k in (
+        "membership_rate", "membership_worst_residual", "wedge_control_rate")]
+
+    sections = report("rp-check", "--instance", "ou").read_text().split("\n[")[1:]
+    worst = {"pd": np.inf, "rp": np.inf}
+    for section in sections:
+        kind = section.split()[0]
+        cert = dict(l.split(": ", 1) for l in section.splitlines()[1:] if ": " in l)
+        worst[kind] = min(worst[kind], float(cert["min_eigenvalue"]) / float(cert["norm"]))
+    for kind in ("pd", "rp"):
+        assert figures("%s-certificates" % kind) == ["8", fmt6(worst[kind])]
+
+
+def test_nan_transfer_fails_contraction_semigroup(tmp_path, monkeypatch):
+    # the semigroup residual is reduced with np.max, so a NaN T(4) fails
+    # the check instead of dropping out of a Python max
+    transfer = cli._SuiteInputs.transfer
+
+    def nan_at_four(self, steps):
+        T = transfer(self, steps)
+        return np.full_like(T, np.nan) if steps == 4 else T
+
+    monkeypatch.setattr(cli._SuiteInputs, "transfer", nan_at_four)
+    rc, out = run(tmp_path, "suite")
+    assert rc == EXIT_CHECK_FAILED
+    failed = [line for line in (out / "suite_summary.txt").read_text().splitlines()
+              if ": FAIL" in line]
+    assert failed == ["check contraction-semigroup: FAIL "
+                      "(worst norm excess 0, semigroup residual nan)"]
 
 
 # the exit code of every exported error class, plus ConfigError and a plain
