@@ -27,6 +27,10 @@ Configuration is a key: value text file; command-line flags win over file
 values, and one parser per key (CONFIG_PARSERS) reads both.  The default
 output directory comes from --out, then the OSLAB_OUT environment
 variable, then ./oslab-reports.
+
+One table, INSTANCES, holds each measure's builder, ladder gap, expected
+verdict and control; the measure subcommands and suite checks read it, so
+adding an instance touches only the table and its builder.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -75,8 +80,6 @@ EXIT_USAGE = 2
 
 OUT_ENV_VAR = "OSLAB_OUT"
 DEFAULT_OUT_DIR = "oslab-reports"
-
-MEASURE_INSTANCES = ("ou", "free-field", "non-rp", "corrupted")
 
 # documented negative-control parameters: the cosine-damped kernel at this
 # frequency is positive definite but not reflection positive for the
@@ -124,10 +127,9 @@ class RunConfig:
     family_size: int = 6
 
     def validate(self) -> None:
-        if self.instance not in MEASURE_INSTANCES:
+        if self.instance not in INSTANCES:
             raise ConfigError(
-                "unknown instance %r; choose from %s"
-                % (self.instance, ", ".join(MEASURE_INSTANCES))
+                "unknown instance %r; choose from %s" % (self.instance, ", ".join(INSTANCES))
             )
         if self.n_points % 2 != 0 or not 4 <= self.n_points <= 4096:
             raise ConfigError("n_points must be even and between 4 and 4096")
@@ -199,29 +201,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def build_measure(cfg: RunConfig) -> GaussianEuclideanMeasure:
-    lattice = TimeLattice(cfg.n_points, cfg.spacing)
-    if cfg.instance in ("ou", "corrupted"):
-        return ou_covariance(cfg.mass, lattice)
-    if cfg.instance == "free-field":
-        return free_field_covariance(cfg.mass, lattice)
-    if cfg.instance == "non-rp":
-        return cosine_damped_covariance(cfg.mass, NON_RP_OMEGA, lattice)
-    raise ConfigError("unknown instance %r" % cfg.instance)
-
-
-def corrupted_functional(measure: GaussianEuclideanMeasure):
-    """The documented broken functional: a constant added off the origin."""
-
-    def evaluate(f: TestFunction) -> complex:
-        base = measure.generating_functional(f)
-        if float(np.max(np.abs(f.coeffs))) != 0.0:
-            return base + CORRUPTION_OFFSET
-        return base
-
-    return evaluate
-
-
 def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional):
     """Certificates over the seeded random families: cfg.families pd
     certificates over complex functions, then as many rp certificates over
@@ -248,16 +227,71 @@ def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional):
     return certs
 
 
-def _spike_family(lattice: TimeLattice):
-    """The non-rp control family: a spike at every positive site."""
-    return delta_family(lattice, list(lattice.positive_indices), NON_RP_SCALE)
+def _spike_control(measure: GaussianEuclideanMeasure):
+    """The non-rp control: the plain functional on a spike at every positive site."""
+    spikes = delta_family(measure.lattice, list(measure.lattice.positive_indices), NON_RP_SCALE)
+    return "rp spike family", measure.generating_functional, spikes
 
 
-def _corrupted_fixture(lattice: TimeLattice):
-    """The corrupted-control family: the zero function and one spike."""
+def _corrupted_control(measure: GaussianEuclideanMeasure):
+    """The corrupted control: the functional with a constant added off the
+    origin, on the zero function and one spike."""
+    def corrupted(f: TestFunction) -> complex:
+        base = measure.generating_functional(f)
+        return base + CORRUPTION_OFFSET if float(np.max(np.abs(f.coeffs))) != 0.0 else base
+
+    lattice = measure.lattice
     c = np.zeros(lattice.n_points)
     c[min(CORRUPTED_SPIKE_SITE, lattice.n_points - 1)] = CORRUPTED_SPIKE_SCALE
-    return [TestFunction(lattice, np.zeros(lattice.n_points)), TestFunction(lattice, c)]
+    family = [TestFunction(lattice, np.zeros_like(c)), TestFunction(lattice, c)]
+    return "pd fixture", corrupted, family
+
+
+@dataclass(frozen=True)
+class Instance:
+    """A measure instance.  Builders look up the covariance constructors in
+    this module when called, so a wrapper bound here reaches every build."""
+
+    build: Callable  # (cfg, lattice) -> measure
+    reflection_positive: bool  # the verdict its certificates must give
+    # cfg -> the gap m of the ladder m, 2m, ... its transfer must show; None
+    # when that is only the raw compression, gated on its norm at 1e-3
+    gap: Callable = lambda cfg: None
+    # a fixture's measure -> (label, functional, family): the certificate
+    # that leads those of the kind ("pd" or "rp") its label starts with
+    control: Callable | None = None
+
+
+def _ou(cfg: RunConfig, lattice: TimeLattice) -> GaussianEuclideanMeasure:
+    return ou_covariance(cfg.mass, lattice)
+
+
+# every measure instance, in --instance's order
+INSTANCES = {
+    "ou": Instance(_ou, True, gap=lambda cfg: cfg.mass),
+    "free-field": Instance(lambda cfg, lattice: free_field_covariance(cfg.mass, lattice), True),
+    "non-rp": Instance(lambda cfg, lattice: cosine_damped_covariance(
+        cfg.mass, NON_RP_OMEGA, lattice), False, control=_spike_control),
+    "corrupted": Instance(_ou, False, control=_corrupted_control),
+}
+
+
+def _accepted(cfg: RunConfig, command: str, what: str, accepts) -> Instance:
+    """cfg's instance entry, refused unless accepts(entry) holds."""
+    names = [name for name, inst in INSTANCES.items() if accepts(inst)]
+    if cfg.instance not in names:
+        raise ConfigError("%s expects %s: %s" % (command, what, ", ".join(names)))
+    return INSTANCES[cfg.instance]
+
+
+def _control(inst: Instance, measure: GaussianEuclideanMeasure):
+    """The functional rp-check certifies on `measure`, and the instance's
+    control as (label, certificate), or None when it has none."""
+    if inst.control is None:
+        return measure.generating_functional, None
+    label, functional, family = inst.control(measure)
+    certify = pd_gram_certificate if label.startswith("pd") else rp_gram_certificate
+    return functional, (label, certify(functional, family))
 
 
 def _say(quiet: bool, text: str) -> None:
@@ -266,18 +300,10 @@ def _say(quiet: bool, text: str) -> None:
 
 
 def _config_lines(cfg: RunConfig, keys) -> list:
-    rendered = {
-        "instance": cfg.instance,
-        "n_points": "%d" % cfg.n_points,
-        "spacing": fmt(cfg.spacing),
-        "mass": fmt(cfg.mass),
-        "max_degree": "%d" % cfg.max_degree,
-        "samples": "%d" % cfg.samples,
-        "seed": "%d" % cfg.seed,
-        "families": "%d" % cfg.families,
-        "family_size": "%d" % cfg.family_size,
-    }
-    return ["%s: %s" % (k, rendered[k]) for k in keys]
+    def render(v):
+        return v if isinstance(v, str) else "%d" % v if isinstance(v, int) else fmt(v)
+
+    return ["%s: %s" % (k, render(getattr(cfg, k))) for k in keys]
 
 
 def _gate(failures: list, value: float, bound: float, text: str) -> None:
@@ -303,39 +329,28 @@ def _finish(cfg: RunConfig, quiet: bool, command: str, filename: str, lines: lis
 # -- rp-check -----------------------------------------------------------------
 
 def cmd_rp_check(cfg: RunConfig, quiet: bool = False) -> int:
-    measure = build_measure(cfg)
-    lattice = measure.lattice
-    functional = measure.generating_functional
-    runs = []  # (label, certificate)
-    if cfg.instance == "corrupted":
-        functional = corrupted_functional(measure)
-        runs.append(("pd fixture", pd_gram_certificate(functional, _corrupted_fixture(lattice))))
-    pd_certs, rp_certs = _family_certificates(cfg, lattice, functional)
-    runs += [("pd family %d" % i, cert) for i, cert in enumerate(pd_certs)]
-    if cfg.instance == "non-rp":
-        runs.append(("rp spike family", rp_gram_certificate(functional, _spike_family(lattice))))
-    runs += [("rp family %d" % i, cert) for i, cert in enumerate(rp_certs)]
+    inst = INSTANCES[cfg.instance]
+    measure = inst.build(cfg, TimeLattice(cfg.n_points, cfg.spacing))
+    functional, control = _control(inst, measure)
+    families = _family_certificates(cfg, measure.lattice, functional)
+    runs = [("%s family %d" % (kind, i), cert)  # (label, certificate)
+            for kind, certs in zip(("pd", "rp"), families) for i, cert in enumerate(certs)]
+    if control is not None:  # it leads the certificates of its kind
+        runs.insert(0 if control[0].startswith("pd") else cfg.families, control)
 
     n_bad = sum(1 for _, cert in runs if cert.verdict != "positive")
     lines = ["format: oslab-rp-check v1"]
     lines += _config_lines(
         cfg, ("instance", "n_points", "spacing", "mass", "seed", "families", "family_size")
     )
-    lines.append("tolerance: %s" % fmt(PSD_RTOL))
-    lines.append("certificates: %d" % len(runs))
+    lines += ["tolerance: %s" % fmt(PSD_RTOL), "certificates: %d" % len(runs)]
     for label, cert in runs:
-        lines.append(
-            "%s: %s size=%d min_eig=%s norm=%s"
-            % (label, cert.verdict, cert.gram.shape[0], fmt6(cert.min_eigenvalue), fmt6(cert.norm))
-        )
+        lines.append("%s: %s size=%d min_eig=%s norm=%s" % (
+            label, cert.verdict, cert.gram.shape[0], fmt6(cert.min_eigenvalue), fmt6(cert.norm)))
         _say(quiet, "rp-check %s: %s (min eig %s)" % (label, cert.verdict, fmt6(cert.min_eigenvalue)))
-    lines.append("indefinite: %d" % n_bad)
-    lines.append("verdict: %s" % ("pass" if n_bad == 0 else "fail"))
-    lines.append("")
+    lines += ["indefinite: %d" % n_bad, "verdict: %s" % ("pass" if n_bad == 0 else "fail"), ""]
     for label, cert in runs:
-        lines.append("[%s]" % label)
-        lines.append(certificate_to_text(cert).rstrip("\n"))
-        lines.append("")
+        lines += ["[%s]" % label, certificate_to_text(cert).rstrip("\n"), ""]
 
     out = cfg.out_dir()
     atomic_write(os.path.join(out, "rp_check_report.txt"), "\n".join(lines))
@@ -360,31 +375,28 @@ def _basis_times(cfg: RunConfig, lattice: TimeLattice):
 
 
 def _comparison_rows(reports, with_mc: bool):
-    if with_mc:
-        header = "case,lhs_operator,rhs_wick,rhs_mc,mc_se,rel_dev_wick,sigma_dev"
-    else:
-        header = "case,lhs_operator,rhs_wick,rel_dev_wick"
-    rows = [header]
+    mc = ("rhs_mc,mc_se,", ",sigma_dev") if with_mc else ("", "")
+    rows = ["case,lhs_operator,rhs_wick,%srel_dev_wick%s" % mc]
     for label, rep in reports:
-        cells = [label, fmt(rep.lhs_operator), fmt(rep.rhs_wick)]
-        if with_mc:
-            cells += [fmt(rep.rhs_mc), fmt(rep.mc_se)]
-        cells.append(fmt(rep.operator_vs_wick))
-        if with_mc:
-            cells.append(fmt(rep.mc_sigma_deviation))
-        rows.append(",".join(cells))
+        mc = ((rep.rhs_mc, rep.mc_se), (rep.mc_sigma_deviation,)) if with_mc else ((), ())
+        values = (rep.lhs_operator, rep.rhs_wick, *mc[0], rep.operator_vs_wick, *mc[1])
+        rows.append(",".join([label, *map(fmt, values)]))
     return "\n".join(rows) + "\n"
 
 
-def _ladder(space, T: np.ndarray, step: float, mass: float):
+def _ladder(space, T: np.ndarray, step: float, gap: float | None):
     """Hamiltonian of the transfer T, its excitation gaps over the ground
-    state, their worst relative deviation from the harmonic ladder m, 2m,
-    ..., the vacuum energy |H vacuum|, and the failure lines of both."""
+    state, their worst relative deviation from the harmonic ladder gap,
+    2 gap, ..., the vacuum energy |H vacuum|, and the failure lines of both;
+    with gap None (a raw compression) nothing is gated and the deviation is
+    None."""
     ham = extract_hamiltonian(space, T, step)
     gaps = ham.spectrum[1:] - ham.spectrum[0]
-    expected = mass * np.arange(1, len(gaps) + 1)
-    gap_dev = float(np.max(np.abs(gaps - expected) / expected)) if len(gaps) else 0.0
     vacuum = float(np.linalg.norm(ham.matrix @ space.vacuum))
+    if gap is None:
+        return ham, gaps, None, vacuum, []
+    expected = gap * np.arange(1, len(gaps) + 1)
+    gap_dev = float(np.max(np.abs(gaps - expected) / expected)) if len(gaps) else 0.0
     failures = []
     _gate(failures, vacuum, RESIDUAL_TOL,
           "vacuum energy %s exceeds %g" % (fmt6(vacuum), RESIDUAL_TOL))
@@ -435,11 +447,12 @@ def _moment_cases(measure, times, degrees, max_degree: int, samples: int = 0, se
 
 
 def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
-    if cfg.instance not in ("ou", "free-field"):
-        raise ConfigError("reconstruct expects instance ou or free-field")
-    measure = build_measure(cfg)
+    inst = _accepted(cfg, "reconstruct", "a reflection-positive instance",
+                     lambda entry: entry.reflection_positive)
+    measure = inst.build(cfg, TimeLattice(cfg.n_points, cfg.spacing))
     lattice = measure.lattice
-    exact = cfg.instance == "ou"
+    gap = inst.gap(cfg)
+    exact = gap is not None
     contraction_tol = CONTRACTION_TOL if exact else 1.0e-3
     times = _basis_times(cfg, lattice)
     space = build_physical_space(measure, times=times, max_degree=cfg.max_degree)
@@ -450,42 +463,28 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
     T = transfers[1]
     norm, semigroup_residual, failures = _semigroup(transfers.__getitem__, ((1, 1),))
     asymmetry = float(np.max(np.abs(T - T.T)))
-    ham, gaps, gap_dev, vacuum_energy, ladder_failures = _ladder(space, T, step, cfg.mass)
+    ham, gaps, gap_dev, vacuum_energy, ladder_failures = _ladder(space, T, step, gap)
+    # a raw compression is gated on its norm alone, at its looser bound, by transfer_operator
+    failures = failures + ladder_failures if exact else []
     if exact:
-        failures += ladder_failures
         t0, = _positive_times(lattice, 1)
         [(_, two_point)], more = _moment_cases(
             measure, (t0, t0 + step), (1, 1), cfg.max_degree, cfg.samples, cfg.seed)
         failures += more
-    else:
-        # the raw compression is gated on its norm alone, at its looser bound
-        failures, gap_dev = [], None
-        _gate(failures, norm, 1.0 + contraction_tol,
-              "contraction norm %s exceeds bound" % fmt6(norm))
 
     lines = ["format: oslab-reconstruct v1"]
     lines += _config_lines(cfg, ("instance", "n_points", "spacing", "mass", "max_degree", "seed"))
-    lines.append("basis_times: %s" % " ".join(fmt(t) for t in times))
-    lines.append("step: %s" % fmt(step))
-    lines.append("basis_size: %d" % len(space.basis))
-    lines.append("physical_dim: %d" % space.physical_dim)
-    lines.append("gram_eigenvalues:")
-    for w in space.eigenvalues:
-        lines.append("  %s" % fmt(float(w)))
-    lines.append("transfer_norm: %s" % fmt(norm))
-    lines.append("transfer_asymmetry: %s" % fmt(asymmetry))
-    lines.append("semigroup_residual: %s" % fmt(semigroup_residual))
+    lines += ["basis_times: %s" % " ".join(fmt(t) for t in times), "step: %s" % fmt(step),
+              "basis_size: %d" % len(space.basis), "physical_dim: %d" % space.physical_dim]
+    lines += ["gram_eigenvalues:"] + ["  %s" % fmt(float(w)) for w in space.eigenvalues]
+    lines += ["transfer_norm: %s" % fmt(norm), "transfer_asymmetry: %s" % fmt(asymmetry),
+              "semigroup_residual: %s" % fmt(semigroup_residual)]
     if not exact:
         lines.append("note: raw orthogonal compression; finite-volume effects reported, not hidden")
-    lines.append("raw_spectrum:")
-    for w in ham.raw_spectrum:
-        lines.append("  %s" % fmt(float(w)))
-    lines.append("shifted_spectrum:")
-    for w in ham.spectrum:
-        lines.append("  %s" % fmt(float(w)))
-    lines.append("spectrum_gaps:")
-    for k, g in enumerate(gaps, start=1):
-        lines.append("  gap %d: %s" % (k, fmt(float(g))))
+    lines += ["raw_spectrum:"] + ["  %s" % fmt(float(w)) for w in ham.raw_spectrum]
+    lines += ["shifted_spectrum:"] + ["  %s" % fmt(float(w)) for w in ham.spectrum]
+    lines += ["spectrum_gaps:"] + ["  gap %d: %s" % (k, fmt(float(g)))
+                                   for k, g in enumerate(gaps, start=1)]
     if gap_dev is not None:
         lines.append("gap_deviation: %s" % fmt(gap_dev))
     lines.append("vacuum_energy_norm: %s" % fmt(vacuum_energy))
@@ -501,16 +500,11 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
 # -- npoint -------------------------------------------------------------------
 
 def cmd_npoint(cfg: RunConfig, quiet: bool = False) -> int:
-    if cfg.instance not in ("ou", "free-field"):
-        raise ConfigError("npoint expects instance ou or free-field")
-    if cfg.instance == "free-field":
-        raise ConfigError(
-            "the operator-side identity is exact only for the Markov instance; "
-            "run instance ou, or compare Wick and Monte Carlo arms directly"
-        )
+    inst = _accepted(cfg, "npoint", "an instance with an exact transfer",
+                     lambda entry: entry.gap(cfg) is not None)
     if len(cfg.times) != len(cfg.degrees):
         raise ConfigError("times and degrees must have equal length")
-    measure = build_measure(cfg)
+    measure = inst.build(cfg, TimeLattice(cfg.n_points, cfg.spacing))
     reports, failures = _moment_cases(
         measure, cfg.times, cfg.degrees, cfg.max_degree, cfg.samples, cfg.seed)
 
@@ -518,14 +512,11 @@ def cmd_npoint(cfg: RunConfig, quiet: bool = False) -> int:
     lines += _config_lines(cfg, ("instance", "n_points", "spacing", "mass", "samples", "seed"))
     lines.append("cases: %d" % len(reports))
     for label, rep in reports:
-        lines.append("%s:" % label)
-        lines.append("  lhs_operator: %s" % fmt(rep.lhs_operator))
-        lines.append("  rhs_wick: %s" % fmt(rep.rhs_wick))
-        lines.append("  rel_dev: %s" % fmt(rep.operator_vs_wick))
+        lines += ["%s:" % label, "  lhs_operator: %s" % fmt(rep.lhs_operator),
+                  "  rhs_wick: %s" % fmt(rep.rhs_wick), "  rel_dev: %s" % fmt(rep.operator_vs_wick)]
         if cfg.samples > 0:
-            lines.append("  rhs_mc: %s" % fmt(rep.rhs_mc))
-            lines.append("  mc_se: %s" % fmt(rep.mc_se))
-            lines.append("  sigma_dev: %s" % fmt(rep.mc_sigma_deviation))
+            lines += ["  rhs_mc: %s" % fmt(rep.rhs_mc), "  mc_se: %s" % fmt(rep.mc_se),
+                      "  sigma_dev: %s" % fmt(rep.mc_sigma_deviation)]
         mc = "" if cfg.samples == 0 else ", mc %s sigma" % fmt6(rep.mc_sigma_deviation)
         _say(quiet, "npoint %s: rel dev %s%s" % (label, fmt6(rep.operator_vs_wick), mc))
     atomic_write(os.path.join(cfg.out_dir(), "npoint_comparison.csv"),
@@ -693,15 +684,18 @@ class _SuiteInputs:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.lattice = TimeLattice(cfg.n_points, cfg.spacing)
+        self._measures: dict = {}
         self._transfers: dict = {}
 
-    @cached_property
-    def ou(self):
-        return ou_covariance(self.cfg.mass, self.lattice)
+    def measure(self, name: str) -> GaussianEuclideanMeasure:
+        """The measure of instance `name`, built once per builder (corrupted shares OU's)."""
+        build = INSTANCES[name].build
+        if build not in self._measures:
+            self._measures[build] = build(self.cfg, self.lattice)
+        return self._measures[build]
 
-    @cached_property
-    def ff(self):
-        return free_field_covariance(self.cfg.mass, self.lattice)
+    ou = property(lambda self: self.measure("ou"))
+    ff = property(lambda self: self.measure("free-field"))
 
     @cached_property
     def families(self):
@@ -742,17 +736,17 @@ def _family_verdict(certs):
             % (len(certs), fmt6(min(c.min_eigenvalue / c.norm for c in certs))))
 
 
-def _check_non_rp_control(run: _SuiteInputs):
-    cosine = cosine_damped_covariance(run.cfg.mass, NON_RP_OMEGA, run.lattice)
-    cert = rp_gram_certificate(cosine.generating_functional, _spike_family(run.lattice))
-    return (cert.verdict == "indefinite",
-            "cosine kernel min eig %s (indefinite expected)" % fmt6(cert.min_eigenvalue))
+def _control_check(name: str, what: str):
+    """The suite check that a fixture's control gives the verdict its entry expects."""
 
+    def check(run: _SuiteInputs):
+        inst = INSTANCES[name]
+        _, (_, cert) = _control(inst, run.measure(name))
+        expected = "positive" if inst.reflection_positive else "indefinite"
+        return (cert.verdict == expected,
+                "%s min eig %s (%s expected)" % (what, fmt6(cert.min_eigenvalue), expected))
 
-def _check_corrupted_control(run: _SuiteInputs):
-    cert = pd_gram_certificate(corrupted_functional(run.ou), _corrupted_fixture(run.lattice))
-    return (cert.verdict == "indefinite",
-            "corrupted functional min eig %s (indefinite expected)" % fmt6(cert.min_eigenvalue))
+    return check
 
 
 def _check_sampled_rp(run: _SuiteInputs):
@@ -771,7 +765,8 @@ def _check_sampled_rp(run: _SuiteInputs):
 
 
 def _check_reconstruction_spectrum(run: _SuiteInputs):
-    *_, gap_dev, vac, failures = _ladder(run.space, run.transfer(1), run.cfg.spacing, run.cfg.mass)
+    *_, gap_dev, vac, failures = _ladder(run.space, run.transfer(1), run.cfg.spacing,
+                                         INSTANCES["ou"].gap(run.cfg))
     return not failures, "gap deviation %s, vacuum energy %s" % (fmt6(gap_dev), fmt6(vac))
 
 
@@ -845,8 +840,8 @@ SUITE_CHECKS = {
     "stationarity-reflection": _check_stationarity_reflection,
     "pd-certificates": lambda run: _family_verdict(run.families[0]),
     "rp-certificates": lambda run: _family_verdict(run.families[1]),
-    "non-rp-control": _check_non_rp_control,
-    "corrupted-control": _check_corrupted_control,
+    "non-rp-control": _control_check("non-rp", "cosine kernel"),
+    "corrupted-control": _control_check("corrupted", "corrupted functional"),
     "sampled-rp": _check_sampled_rp,
     "reconstruction-spectrum": _check_reconstruction_spectrum,
     "contraction-semigroup": _check_contraction_semigroup,
@@ -933,7 +928,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        % (OUT_ENV_VAR, DEFAULT_OUT_DIR))
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
         if with_instance:
-            p.add_argument("--instance", choices=MEASURE_INSTANCES, help="measure instance")
+            p.add_argument("--instance", choices=tuple(INSTANCES), help="measure instance")
         if with_algebra is not None:
             p.add_argument("algebra", nargs="?", default=None,
                            help="built-in algebra name or algebra file (default: %s)" % with_algebra)

@@ -322,15 +322,17 @@ def check_hyperbolic_point(algebra: LieAlgebra, x: np.ndarray) -> PointCheck:
     norm = float(np.linalg.norm(A, 2)) or 1.0
     eig = np.linalg.eigvals(A)
     max_imag = float(np.max(np.abs(eig.imag))) if eig.size else 0.0
-    if max_imag > EIGENVALUE_REALITY_RTOL * norm:
+    if not max_imag <= EIGENVALUE_REALITY_RTOL * norm:
         return PointCheck(
             eig, False, "complex eigenvalues (max imaginary part %.3e)" % max_imag
         )
     clusters: list[float] = []
     for lam in np.sort(eig.real):
-        if not clusters or abs(lam - clusters[-1]) > CLUSTER_RTOL * norm:
+        if not clusters or not abs(lam - clusters[-1]) <= CLUSTER_RTOL * norm:
             clusters.append(float(lam))
     for lam in clusters:
+        if not np.isfinite(lam):
+            return PointCheck(eig, False, "non-finite eigenvalue %s" % fmt(lam))
         B = A - lam * np.eye(A.shape[0])
         if _rank(B) != _rank(B @ B):
             return PointCheck(
@@ -460,7 +462,7 @@ def _sl2_cone_factor_stack(s: np.ndarray):
         rebuilt[:, 1] *= (1.0 / lam)[:, None]
         residual = np.max(np.abs(rebuilt - s), axis=(1, 2))
     gates = (
-        (np.abs(det - 1.0) > SL2_DET_RTOL * (np.abs(c1sq) + np.abs(s01 * s10)),
+        (~(np.abs(det - 1.0) <= SL2_DET_RTOL * (np.abs(c1sq) + np.abs(s01 * s10))),
          lambda i: "matrix determinant %s is not 1" % fmt(det[i])),
         (np.min(s, axis=(1, 2)) < -1.0e-12,
          lambda i: "matrix has negative entries; outside the semigroup"),

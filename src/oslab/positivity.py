@@ -90,7 +90,7 @@ class PsdCertificate:
             H = 0.5 * (self.gram + self.gram.conj().T)
             quad = float(np.real(self.witness.conj() @ (H @ self.witness)))
             denom = max(abs(self.min_eigenvalue), 1.0e-300)
-            if abs(quad - self.min_eigenvalue) > WITNESS_RTOL * denom:
+            if not abs(quad - self.min_eigenvalue) <= WITNESS_RTOL * denom:
                 raise ValueError(
                     "witness quadratic form %.17g does not reproduce min eigenvalue %.17g"
                     % (quad, self.min_eigenvalue)
@@ -131,7 +131,7 @@ def _certify(
     gram = np.asarray(gram)
     scale = float(np.max(np.abs(gram))) or 1.0
     asym = float(np.max(np.abs(gram - gram.conj().T)))
-    if asym > HERMITICITY_RTOL * scale and n_samples == 0:
+    if not asym <= HERMITICITY_RTOL * scale and n_samples == 0:
         raise HermiticityError(
             "gram asymmetry %.3e exceeds %.1e relative" % (asym, HERMITICITY_RTOL)
         )

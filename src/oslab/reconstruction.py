@@ -315,7 +315,7 @@ def build_physical_space(
     G = reflected_gram(measure, basis)
     scale = float(np.max(np.abs(G))) or 1.0
     asym = float(np.max(np.abs(G - G.conj().T)))
-    if asym > GRAM_SYMMETRY_RTOL * scale:
+    if not asym <= GRAM_SYMMETRY_RTOL * scale:
         raise OperatorBoundError("reflected Gram asymmetry %.3e beyond tolerance" % asym)
     H = 0.5 * (G + G.conj().T)
     w, V = np.linalg.eigh(H)
@@ -412,7 +412,7 @@ def transfer_operator(
         for k in range(M.shape[1]):
             ref = max(self_norms[k], 1.0e-300)
             defect = abs(self_norms[k] - captured[k]) / ref
-            if defect > REPRESENTABILITY_RTOL:
+            if not defect <= REPRESENTABILITY_RTOL:
                 raise RepresentabilityError(
                     "shifted functional %s is not representable in the basis "
                     "span (norm defect %.3e)"
@@ -420,11 +420,13 @@ def transfer_operator(
                 )
         asym = float(np.max(np.abs(T - T.conj().T)))
         scale = float(np.max(np.abs(T))) or 1.0
-        if asym > 1.0e-8 * scale:
+        if not asym <= 1.0e-8 * scale:
             raise OperatorBoundError("transfer matrix asymmetry %.3e beyond tolerance" % asym)
         T = 0.5 * (T + T.conj().T)
+    if not np.all(np.isfinite(T)):
+        raise OperatorBoundError("transfer matrix has non-finite entries")
     norm = float(np.linalg.norm(T, 2))
-    if norm > 1.0 + contraction_tol:
+    if not norm <= 1.0 + contraction_tol:
         raise OperatorBoundError(
             "transfer operator norm %.17g exceeds 1 + %.1e" % (norm, contraction_tol)
         )

@@ -295,6 +295,88 @@ def test_npoint_free_field_refused(tmp_path):
     assert rc == EXIT_USAGE
 
 
+def _ou_doubled(gap):
+    """A table entry: OU at doubled mass, stating its ladder gap as gap(cfg)."""
+    return cli.Instance(lambda cfg, lattice: cli.ou_covariance(2.0 * cfg.mass, lattice), True,
+                        gap=gap)
+
+
+@pytest.mark.parametrize("command", ["rp-check", "reconstruct", "npoint"])
+def test_registered_instance_runs_by_name(tmp_path, monkeypatch, command):
+    # adding an instance touches only the table
+    monkeypatch.setitem(cli.INSTANCES, "ou-2m", _ou_doubled(lambda cfg: 2.0 * cfg.mass))
+    rc, out = run(tmp_path, command, "--instance", "ou-2m")
+    assert rc == EXIT_OK
+    fields = _fields(out / ("%s_report.txt" % command.replace("-", "_")))
+    assert fields["instance"] == "ou-2m"
+    assert fields["verdict"] == "pass"
+    if command == "reconstruct":
+        assert float(fields["  gap 1"]) == pytest.approx(2.0, rel=1e-6)
+
+
+def test_ladder_reads_its_gap_from_the_table(tmp_path, monkeypatch):
+    # the same measure with the gap stated as the mass fails the ladder
+    monkeypatch.setitem(cli.INSTANCES, "ou-2m", _ou_doubled(lambda cfg: cfg.mass))
+    rc, out = run(tmp_path, "reconstruct", "--instance", "ou-2m")
+    assert rc == EXIT_CHECK_FAILED
+    assert re.search(r"^failure: spectrum gaps deviate 1(\.\d+)? from harmonic ladder$",
+                     (out / "reconstruct_report.txt").read_text(), re.M)
+
+
+@pytest.mark.parametrize("registered", [False, True], ids=["table", "with-ou-2m"])
+def test_instance_names_and_refusals_follow_the_table(tmp_path, monkeypatch, capsys,
+                                                      registered):
+    extra = ""
+    if registered:
+        monkeypatch.setitem(cli.INSTANCES, "ou-2m", _ou_doubled(lambda cfg: 2.0 * cfg.mass))
+        extra = ", ou-2m"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("instance: wibble\n")
+    assert run(tmp_path, "rp-check", "--config", str(cfg))[0] == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: unknown instance 'wibble'; choose from ou, free-field, non-rp, corrupted%s\n"
+        % extra)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "rp-check", "--instance", "wibble")
+    assert exc.value.code == EXIT_USAGE
+    assert ("'corrupted', 'ou-2m')" in capsys.readouterr().err) == registered
+    for instance in ("non-rp", "corrupted"):
+        assert run(tmp_path, "reconstruct", "--instance", instance)[0] == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: reconstruct expects a reflection-positive instance: ou, free-field%s\n"
+            % extra)
+    for instance in ("free-field", "non-rp", "corrupted"):
+        assert run(tmp_path, "npoint", "--instance", instance)[0] == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: npoint expects an instance with an exact transfer: ou%s\n" % extra)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, built", [
+    (("rp-check", "--instance", "corrupted"), ["ou_covariance"]),
+    (("rp-check", "--instance", "non-rp"), ["cosine_damped_covariance"]),
+    (("reconstruct", "--instance", "free-field"), ["free_field_covariance"]),
+    (("npoint",), ["ou_covariance"]),
+    (("suite",), ["ou_covariance", "free_field_covariance", "cosine_damped_covariance"]),
+], ids=lambda v: "-".join(v) if isinstance(v, tuple) else "")
+def test_builders_look_up_the_constructors_when_called(tmp_path, monkeypatch, argv, built):
+    # a wrapper bound in the cli module, as a tracer binds its spans, sees
+    # every measure a job builds: one per job, the suite's corrupted
+    # control sharing the OU measure
+    calls = []
+
+    def counting(name, real):
+        def build(*args):
+            calls.append(name)
+            return real(*args)
+        return build
+
+    for name in ("ou_covariance", "free_field_covariance", "cosine_damped_covariance"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    run(tmp_path, *argv)
+    assert calls == built
+
+
 def test_cdual_default_reaches_compact_form(tmp_path):
     rc, out = run(tmp_path, "cdual")
     assert rc == EXIT_OK
