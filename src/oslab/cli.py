@@ -47,6 +47,7 @@ from . import liealg
 from .errors import CheckFailure
 from .lattice import (
     PSD_RTOL,
+    SIGMA_TOL,
     GaussianEuclideanMeasure,
     TestFunction,
     TimeLattice,
@@ -98,7 +99,6 @@ CORRUPTED_SPIKE_SCALE = 0.2
 RESIDUAL_TOL = 1.0e-8
 # bound on a relative deviation: harmonic-ladder gaps, operator vs Wick
 REL_DEV_TOL = 0.01
-SIGMA_TOL = 3.0  # bound on a Monte Carlo arm's deviation, in standard errors
 # bound on the distance of the sl2R-cartan dual from su(2)
 SU2_MATCH_TOL = 1.0e-10
 

@@ -49,7 +49,14 @@ the spectrum (eigenvalues) is computed on first read.
 Each measure memoizes its draws in sample_memo, keyed by (count, seed):
 the covariance factor is built and the normals are drawn once per key, and
 every later request gets the same read-only array back.  Callers that need
-to change paths copy them first.
+to change paths copy them first.  A Monte Carlo estimate from such paths is
+gated at SIGMA_TOL standard errors wherever one is checked.
+
+The measure's one moment interface is moment(sites, source): the exact
+E[prod_s q(t_s) * exp(i source . q)], by the Isserlis recursion of
+oslab.moments.  This module is the only one that hands the covariance and
+the memo to that engine; reconstruction asks the measure for every moment
+it needs.
 """
 from __future__ import annotations
 
@@ -58,6 +65,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import moments
 from .errors import CheckFailure
 
 # Relative floor for treating the smallest eigenvalue of a PSD matrix (a
@@ -215,10 +223,9 @@ class GaussianEuclideanMeasure:
     """Centered Gaussian measure on lattice paths, fixed by its covariance.
 
     The covariance is stored read-only, so moment_memo, the memo of
-    source-free Isserlis moments keyed by sorted site tuple that every
-    pairing over this measure shares, never goes stale; nor does
-    sample_memo, the read-only path matrices of sample_path_matrix keyed by
-    (count, seed).
+    source-free moments keyed by sorted site tuple that every moment call
+    on this measure shares, never goes stale; nor does sample_memo, the
+    read-only path matrices of sample_path_matrix keyed by (count, seed).
 
     Construction refuses a covariance with a non-finite entry and proves
     lambda_min(C) >= -PSD_RTOL * max_i C_ii with one Cholesky factorisation
@@ -251,7 +258,7 @@ class GaussianEuclideanMeasure:
             raise CovarianceError("covariance has a non-finite entry")
         scale = scale or 1.0
         S, asym = _symmetric_part(C)
-        if asym > SYMMETRY_RTOL * scale:
+        if not asym <= SYMMETRY_RTOL * scale:
             raise CovarianceError(
                 "covariance asymmetry %.3e exceeds %.1e relative" % (asym, SYMMETRY_RTOL)
             )
@@ -273,6 +280,17 @@ class GaussianEuclideanMeasure:
         w = np.linalg.eigvalsh(self.covariance)
         w.setflags(write=False)
         return w
+
+    def moment(self, sites, source: np.ndarray | None = None) -> complex:
+        """E[prod_s q(t_s) * exp(i source . q)] over the sites s, exact.
+
+        source is a coefficient vector over the lattice sites (may be
+        complex, None for none).  A source-free moment is read from and
+        kept in moment_memo; a sourced one keeps a memo of its own.
+        """
+        return moments.gaussian_monomial_with_source(
+            self.covariance, sites, source, memo=self.moment_memo
+        )
 
     def generating_functional(self, f: "TestFunction") -> complex:
         return generating_functional(self, f)
@@ -442,6 +460,10 @@ def _standard_normal(seed: int, count: int, width: int) -> np.ndarray:
     raw = gen.integers(0, 1 << 53, size=(count, width), dtype=np.int64)
     u = (raw.astype(float) + 0.5) * 2.0**-53
     return ndtri(u)
+
+
+# bound on a Monte Carlo estimate's deviation, in its standard errors
+SIGMA_TOL = 3.0
 
 
 def sample_path_matrix(

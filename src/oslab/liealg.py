@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CheckFailure
-from .textio import fmt, matrix_lines, parse_kv_text
+from .textio import fmt, parse_kv_text
 
 STRUCTURE_TOL = 1.0e-12
 EIGENVALUE_REALITY_RTOL = 1.0e-8
@@ -481,21 +481,6 @@ def _sl2_cone_factor_stack(s: np.ndarray):
     return t, b, c, residual, failures
 
 
-def sl2_cone_factorize(s: np.ndarray) -> tuple[float, float, float, float]:
-    """Factor s = diag(exp(t), exp(-t)) * exp(b E + c F) with b, c >= 0.
-
-    Exists exactly when s has nonnegative entries and determinant one.
-    Returns (t, b, c, residual); raises ValueError when the factorization
-    equations have no admissible solution.  One row of the stacked
-    factorization that semigroup_membership_sample runs.
-    """
-    t, b, c, residual, failures = _sl2_cone_factor_stack(
-        np.asarray(s, dtype=float).reshape(1, 2, 2))
-    if failures:
-        raise ValueError(failures[0][1])
-    return float(t[0]), float(b[0]), float(c[0]), float(residual[0])
-
-
 def _membership_draws(n_products: int, seed: int, scale: float):
     """Per product, (t1, t2) uniform on [-scale, scale] then ((b1, c1), (b2,
     c2)) uniform on [0, scale], as arrays (n, 2) and (n, 2, 2).
@@ -572,13 +557,8 @@ def commutant_dimension(matrices: Sequence[np.ndarray], rtol: float = RANK_RTOL)
         if M.shape != (d, d):
             raise ValueError("matrices must share one square shape")
     eye = np.eye(d)
-    blocks = [np.kron(M.T, eye) - np.kron(eye, M) for M in mats]
-    stacked = np.vstack(blocks)
-    s = np.linalg.svd(stacked, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return d * d
-    rank = int(np.sum(s > rtol * s[0]))
-    return d * d - rank
+    stacked = np.vstack([np.kron(M.T, eye) - np.kron(eye, M) for M in mats])
+    return d * d - _rank(stacked, rtol)
 
 
 # -- built-in instances -------------------------------------------------------
@@ -695,26 +675,6 @@ def nilpotent_control_cone() -> tuple[InvolutionSplit, ConeSample]:
 def structure_lines(c: np.ndarray) -> list:
     """One '  i j k value' line per nonzero c[i, j, k], in C order."""
     return ["  %d %d %d %s" % (i, j, k, fmt(c[i, j, k])) for i, j, k in np.argwhere(c != 0.0)]
-
-
-def algebra_to_text(
-    algebra: LieAlgebra,
-    involution: Involution | None = None,
-    cone: ConeSample | None = None,
-) -> str:
-    lines = [
-        "format: oslab-algebra v1",
-        "dim: %d" % algebra.dim,
-        "labels: %s" % " ".join(algebra.labels),
-        "structure:",
-    ] + structure_lines(algebra.structure)
-    if involution is not None:
-        lines += ["involution:"] + matrix_lines(involution.matrix)
-    if cone is not None:
-        lines += ["cone_generators:"] + matrix_lines(cone.generators)
-        lines += ["cone_witness:"] + matrix_lines([cone.interior_witness])
-        lines += ["cone_samples:"] + matrix_lines(cone.sampled_points)
-    return "\n".join(lines) + "\n"
 
 
 def _finite(token: str) -> float:

@@ -15,9 +15,9 @@ which is the same recursion with that imaginary mean.
 
 Values are memoized by sorted site tuple.  A centered moment depends on the
 covariance alone, so callers may pass a memo that lives as long as the
-covariance does: GaussianEuclideanMeasure.moment_memo is one per measure,
-whose covariance is read-only, and every source-free moment a job takes of
-that measure shares it.  A sourced moment depends on the source too and
+covariance does: GaussianEuclideanMeasure.moment passes its measure's
+moment_memo, one per measure, whose covariance is read-only, so every
+source-free moment a job takes of that measure shares it.  A sourced moment depends on the source too and
 keeps a memo of its own for the one call.
 
 Moments of two single-site powers, E[x_j^a x_k^b] over every site pair at

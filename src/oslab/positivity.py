@@ -33,6 +33,7 @@ import numpy as np
 from .errors import CheckFailure
 from .lattice import (
     PSD_RTOL,
+    SIGMA_TOL,
     GaussianEuclideanMeasure,
     LatticeMismatchError,
     TestFunction,
@@ -245,7 +246,7 @@ def rp_sampled_certificate(
     """Monte-Carlo reflection-positivity check on sampled path functionals.
 
     gram[k][l] estimates E[F_k(reflected paths) * F_l(paths)].  The verdict
-    compares the minimum eigenvalue against three standard errors of itself,
+    compares the minimum eigenvalue against SIGMA_TOL standard errors of itself,
     propagated through the minimizing eigenvector (delta method).  Sums are
     reduced in a fixed serial order, so results are reproducible bit for bit
     for a given seed.
@@ -267,7 +268,7 @@ def rp_sampled_certificate(
     y = (mirrored @ v) * (direct @ v)
     se = float(np.std(y, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     norm = float(max(abs(w[0]), abs(w[-1]))) or 1.0
-    rtol = 3.0 * se / norm
+    rtol = SIGMA_TOL * se / norm
     return _certify(
         KIND_RP_SAMPLED, gram, rtol, n_samples=n_samples, min_eig_se=se
     )

@@ -17,6 +17,13 @@ is reflection positive; eigendirections below the null cut are quotiented
 away, and what remains is the physical space with an orthonormal
 coordinate system.
 
+Reconstruction reads only the measure's lattice and its moments: every
+pairing entry, Wick value and Monte Carlo variance is one call of
+measure.moment(sites, source), so this module knows nothing of how a
+measure computes them.  The one exception is check_reflection_intertwining,
+whose Wick-level gram is the closed form site_power_moments of the
+covariance.
+
 The time shift by one or more lattice steps acts on monomials exactly
 (times move, coefficients do not), so the shifted basis can be re-expanded
 through the same pairing.  The resulting matrix is the transfer operator:
@@ -49,7 +56,7 @@ from .lattice import (
     TimeLattice,
     sample_path_matrix,
 )
-from .moments import gaussian_monomial_with_source, isserlis_moment, site_power_moments
+from .moments import site_power_moments
 from .textio import fmt
 
 NULL_CUT_RTOL = 1.0e-10
@@ -187,46 +194,25 @@ def _validate_functional(lattice: TimeLattice, f: ObservableFunctional) -> None:
             raise LatticeMismatchError("functional lattice does not match measure")
 
 
-def _sites(lattice: TimeLattice, f: ObservableFunctional, reflect: bool = False) -> tuple:
-    """Lattice sites of f's field factors, each repeated by its degree, at
-    reflected times when reflect is set; () for an exponential."""
-    if f.kind != KIND_MONOMIAL:
-        return ()
+def _factors(lattice: TimeLattice, f: ObservableFunctional, reflect: bool = False) -> tuple:
+    """(sites, source) of f: the lattice sites of its field factors, each
+    repeated by its degree, and None for a monomial; () and the source that
+    exp(i q(f)) puts on the lattice sites for an exponential.  With reflect
+    set, times are reflected and the exponential conjugated, as the left
+    side of a pairing needs: conj(exp(i q(f))) = exp(-i q(f)) for real f,
+    and reflection mirrors the coefficients."""
+    if f.kind == KIND_EXPONENTIAL:
+        h, c = lattice.spacing, f.test_function.coeffs
+        source = np.zeros(lattice.n_points, dtype=complex)
+        if reflect:
+            source -= h * c[::-1]
+        else:
+            source += h * c
+        return (), source
     sites: list[int] = []
     for t, d in zip(f.times, f.degrees):
         sites.extend([lattice.index_of_time(-t if reflect else t)] * int(d))
-    return tuple(sites)
-
-
-def _pairing(
-    measure: GaussianEuclideanMeasure,
-    left: ObservableFunctional,
-    left_sites: tuple,
-    right: ObservableFunctional,
-    right_sites: tuple,
-) -> complex:
-    """<left, right> = E[conj(left at reflected times) * right], exact.
-
-    left_sites and right_sites are the functionals' _sites, reflected on the
-    left; callers resolve them once per matrix.  Source-free pairings share
-    the measure's moment memo.
-    """
-    source = None
-    if left.kind == KIND_EXPONENTIAL or right.kind == KIND_EXPONENTIAL:
-        # conj(exp(i q(f))) = exp(-i q(f)) for real f; reflection moves the
-        # coefficients to mirrored sites.  Combine both sides into one
-        # source vector over lattice sites, scaled by the smearing factor h.
-        lattice = measure.lattice
-        h = lattice.spacing
-        source = np.zeros(lattice.n_points, dtype=complex)
-        if left.kind == KIND_EXPONENTIAL:
-            c = left.test_function.coeffs
-            source -= h * c[::-1]
-        if right.kind == KIND_EXPONENTIAL:
-            source += h * right.test_function.coeffs
-    return gaussian_monomial_with_source(
-        measure.covariance, left_sites + right_sites, source, memo=measure.moment_memo
-    )
+    return tuple(sites), None
 
 
 def _pairing_matrix(
@@ -234,14 +220,21 @@ def _pairing_matrix(
     left: Sequence[ObservableFunctional],
     right: Sequence[ObservableFunctional],
 ) -> np.ndarray:
-    """Complex M[j,k] = <left_j, right_k>, each functional's sites resolved once."""
+    """Complex M[j,k] = <left_j, right_k> = E[conj(left_j at reflected times)
+    * right_k], exact: one measure moment per entry, over both sides' sites
+    with both sides' sources summed.  Each functional's factors are resolved
+    once."""
     lattice = measure.lattice
-    left_sites = [_sites(lattice, f, reflect=True) for f in left]
-    right_sites = [_sites(lattice, g) for g in right]
+    left_factors = [_factors(lattice, f, reflect=True) for f in left]
+    right_factors = [_factors(lattice, g) for g in right]
     M = np.zeros((len(left), len(right)), dtype=complex)
-    for j, f in enumerate(left):
-        for k, g in enumerate(right):
-            M[j, k] = _pairing(measure, f, left_sites[j], g, right_sites[k])
+    for j, (left_sites, left_source) in enumerate(left_factors):
+        for k, (right_sites, right_source) in enumerate(right_factors):
+            if left_source is None or right_source is None:
+                source = right_source if left_source is None else left_source
+            else:
+                source = left_source + right_source
+            M[j, k] = measure.moment(left_sites + right_sites, source)
     return M
 
 
@@ -543,8 +536,14 @@ def verify_npoint_identity(
     The observables are A_k = q^degrees[k] inserted at times[k]; times must
     be nondecreasing and strictly positive.  The operator side chains
     compressed multiplications with transfer factors over the gaps.  The
-    Wick side evaluates E[prod q(t_k)^d_k] directly from the covariance.
-    With n_samples > 0 a Monte-Carlo arm is added with its standard error.
+    Wick side is the measure's moment E[F], F = prod q(t_k)^d_k.  With
+    n_samples > 0 a Monte Carlo arm is added: rhs_mc, the mean of F over
+    n_samples paths of sample_path_matrix, and mc_se, the exact standard
+    deviation of that mean, sqrt((E[F^2] - E[F]^2) / n_samples) from the
+    measure's moments (a rounding-negative variance reads 0).  The sample
+    standard error of a heavy-tailed product like q^4 comes out small in
+    just the draws whose mean is far off, so its z-scores have heavier tails
+    than the normal the sigma gate assumes; the exact one does not.
     """
     times = [float(t) for t in times]
     degrees = [int(d) for d in degrees]
@@ -578,17 +577,18 @@ def verify_npoint_identity(
     for t, d in zip(times, degrees):
         idx.extend([lattice.index_of_time(t)] * d)
     measure = space.measure
-    rhs = float(isserlis_moment(measure.covariance, idx, memo=measure.moment_memo))
+    rhs = measure.moment(idx).real
 
     rhs_mc = None
     mc_se = None
     if n_samples:
-        paths = sample_path_matrix(space.measure, n_samples, seed)
+        paths = sample_path_matrix(measure, n_samples, seed)
         vals = np.ones(paths.shape[0])
         for t, d in zip(times, degrees):
             vals = vals * paths[:, lattice.index_of_time(t)] ** d
         rhs_mc = float(np.mean(vals))
-        mc_se = float(np.std(vals, ddof=1) / np.sqrt(n_samples))
+        variance = measure.moment(idx + idx).real - rhs * rhs
+        mc_se = float(np.sqrt(max(variance, 0.0) / n_samples))
     return NPointReport(
         times=tuple(times),
         degrees=tuple(degrees),

@@ -16,15 +16,20 @@ the kernels' out-of-place expressions instead of their in-place builds,
 and the sample second-moment matrix and exact Wick gram entries against
 which drawn paths and sampled certificates are checked.
 Tests freeze values produced here and compare package output against them.
+Two helpers at the end are not references but conveniences that only tests
+need: sl2_cone_factorize, one row of the package's stacked sl(2)
+factorization, and algebra_to_text, the writer of the oslab-algebra v1
+format that liealg.algebra_from_text reads.
 """
 import itertools
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from oslab import liealg
 from oslab.moments import isserlis_moment
 from oslab.reconstruction import IntertwiningReport
-from oslab.textio import fmt
+from oslab.textio import fmt, matrix_lines
 
 
 # -- kernel expressions, out of place -----------------------------------------
@@ -530,3 +535,38 @@ def membership_sample_looped(n_products, seed, cone="quadrant", scale=1.0):
         worst = max(worst, residual)
         n_success += 1
     return n_success, worst, tuple(failures)
+
+
+# -- test conveniences: one-matrix factorization, algebra writer ---------------
+
+def sl2_cone_factorize(s):
+    """Factor s = diag(exp(t), exp(-t)) * exp(b E + c F) with b, c >= 0.
+
+    Exists exactly when s has nonnegative entries and determinant one.
+    Returns (t, b, c, residual); raises ValueError with the first failing
+    gate's reason.  One row of the stacked factorization that
+    liealg.semigroup_membership_sample runs.
+    """
+    t, b, c, residual, failures = liealg._sl2_cone_factor_stack(
+        np.asarray(s, dtype=float).reshape(1, 2, 2))
+    if failures:
+        raise ValueError(failures[0][1])
+    return float(t[0]), float(b[0]), float(c[0]), float(residual[0])
+
+
+def algebra_to_text(algebra, involution=None, cone=None):
+    """The oslab-algebra v1 text of an algebra, with its involution and cone
+    when given; liealg.algebra_from_text reads it back."""
+    lines = [
+        "format: oslab-algebra v1",
+        "dim: %d" % algebra.dim,
+        "labels: %s" % " ".join(algebra.labels),
+        "structure:",
+    ] + liealg.structure_lines(algebra.structure)
+    if involution is not None:
+        lines += ["involution:"] + matrix_lines(involution.matrix)
+    if cone is not None:
+        lines += ["cone_generators:"] + matrix_lines(cone.generators)
+        lines += ["cone_witness:"] + matrix_lines([cone.interior_witness])
+        lines += ["cone_samples:"] + matrix_lines(cone.sampled_points)
+    return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 import oslab
 from oslab import cli, lattice, liealg
 from oslab.cli import (
@@ -404,10 +405,9 @@ def test_cdual_unknown_name_is_usage_error(tmp_path):
 
 
 def test_cdual_accepts_algebra_file(tmp_path):
-    from oslab.liealg import algebra_to_text, builtin_algebra
-    alg, tau = builtin_algebra("sl2R-cartan")
+    alg, tau = liealg.builtin_algebra("sl2R-cartan")
     path = tmp_path / "myalg.txt"
-    path.write_text(algebra_to_text(alg, involution=tau))
+    path.write_text(oracles.algebra_to_text(alg, involution=tau))
     rc, out = run(tmp_path, "cdual", str(path))
     assert rc == EXIT_OK
 
@@ -505,6 +505,27 @@ def test_monte_carlo_arm_beyond_three_sigma_fails(tmp_path, monkeypatch, command
     assert "verdict: fail" in text
     assert re.search(r"^failure: q\(0\.125\)\^1q\(0\.375\)\^1: Monte Carlo off by 4 sigma$",
                      text, re.M)
+
+
+@pytest.mark.parametrize("n_points,mass,samples,seed", [
+    (544, "1.242441", 1250, 1753258627),
+    (544, "1.286543", 1210, 808566046),
+    (544, "1.230288", 1240, 1693333056),
+])
+def test_heavy_tailed_four_point_arm_stays_within_five_sigma(tmp_path, n_points, mass,
+                                                              samples, seed):
+    # three benchmark sample jobs whose 4-point arm read 6.37, 5.39 and 5.13
+    # sigma against the sample standard error; against the exact one, 3.33,
+    # 2.83 and 2.89
+    cfg = tmp_path / "sample.cfg"
+    cfg.write_text("instance: ou\nn_points: %d\nmass: %s\nsamples: %d\nseed: %d\n"
+                   % (n_points, mass, samples, seed))
+    rc, out = run(tmp_path, "npoint", "--config", str(cfg))
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    text = (out / "npoint_report.txt").read_text()
+    sigmas = [float(x) for x in re.findall(r"^  sigma_dev: (\S+)$", text, re.M)]
+    assert len(sigmas) == 2
+    assert all(s <= 5.0 for s in sigmas), sigmas
 
 
 def test_cone_check_default_passes(tmp_path):

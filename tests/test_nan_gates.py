@@ -2,15 +2,27 @@
 
 Each row puts one NaN at a gate's input and asserts that gate's outcome:
 its CheckFailure subclass where it raises one, else the failure it
-records.  Written x > tol, every gate here let the NaN through.
+records.  Written x > tol, every gate here let the NaN through; a scan of
+the package source refuses any comparison written x > *TOL.
 """
+import ast
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
-from oslab import liealg, positivity, reconstruction
+import oracles
+from oslab import lattice, liealg, positivity, reconstruction
 from oslab.cli import EXIT_CHECK_FAILED, SUITE_CHECKS, main
 from oslab.errors import CheckFailure
-from oslab.lattice import TestFunction, TimeLattice, free_field_covariance, ou_covariance
+from oslab.lattice import (
+    CovarianceError,
+    TestFunction,
+    TimeLattice,
+    free_field_covariance,
+    ou_covariance,
+)
 from oslab.positivity import HermiticityError
 from oslab.reconstruction import (
     OperatorBoundError,
@@ -112,11 +124,19 @@ def _eigenvalue_cluster(monkeypatch):
 
 def _membership_determinant(monkeypatch):
     with pytest.raises(ValueError, match="matrix determinant nan is not 1"):
-        liealg.sl2_cone_factorize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        oracles.sl2_cone_factorize(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+def _covariance_symmetry(monkeypatch):
+    real = lattice._symmetric_part
+    monkeypatch.setattr(lattice, "_symmetric_part", lambda C: (real(C)[0], np.nan))
+    with pytest.raises(CovarianceError, match="covariance asymmetry nan"):
+        ou_covariance(1.0, TimeLattice(32, 0.25))
 
 
 # gate -> a function that puts a NaN at its input and asserts its outcome
 GATES = {
+    "lattice-covariance-symmetry": _covariance_symmetry,
     "reconstruction-gram-symmetry": _gram_symmetry,
     "reconstruction-representability": _representability,
     "reconstruction-transfer-asymmetry": _transfer_asymmetry,
@@ -133,6 +153,27 @@ GATES = {
 @pytest.mark.parametrize("gate", GATES)
 def test_nan_at_a_gate_input_fails_that_gate(monkeypatch, gate):
     GATES[gate](monkeypatch)
+
+
+TOLERANCE_NAME = re.compile(r"[A-Z][A-Z0-9_]*TOL\Z")
+
+
+def _greater_than_tolerance(path: pathlib.Path) -> list:
+    """'file:line' of each comparison x > y in the file whose right side y
+    names an upper-case *TOL constant: a gate that NaN passes."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare):
+            for op, right in zip(node.ops, node.comparators):
+                names = {n.id for n in ast.walk(right) if isinstance(n, ast.Name)}
+                if isinstance(op, ast.Gt) and any(map(TOLERANCE_NAME.match, names)):
+                    found.append("%s:%d" % (path.name, node.lineno))
+    return found
+
+
+def test_no_library_gate_is_written_greater_than_a_tolerance():
+    src = pathlib.Path(lattice.__file__).parent
+    assert [hit for path in sorted(src.glob("*.py")) for hit in _greater_than_tolerance(path)] == []
 
 
 @pytest.mark.parametrize("argv", [

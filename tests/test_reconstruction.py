@@ -1,4 +1,7 @@
 """Physical Hilbert space, transfer semigroup, Hamiltonian, n-point identity."""
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from oslab.lattice import (
     free_field_covariance,
     ou_covariance,
 )
-from oslab.moments import isserlis_moment
+from oslab.moments import gaussian_monomial_with_source, isserlis_moment
 from oslab.reconstruction import (
     GRAM_SYMMETRY_RTOL,
     HamiltonianResult,
@@ -357,6 +360,81 @@ def test_shared_memo_matrices_are_bitwise_entrywise():
     M, norms = reconstruction._shift_pairing_matrix(sp, 0.25)
     assert np.array_equal(M, M_ref)
     assert np.array_equal(norms, norms_ref)
+
+
+# -- the moment interface ------------------------------------------------------
+
+def test_measure_moment_keeps_the_memo_contract():
+    m = ou_covariance(0.8, LAT)
+    sites = (9, 8, 9, 11)
+    source = np.zeros(LAT.n_points, dtype=complex)
+    source[[9, 12]] = (0.3, -0.2j)
+    sourced = m.moment(sites, source)
+    assert m.moment_memo == {}
+    assert sourced == gaussian_monomial_with_source(m.covariance, sites, source)
+    plain = m.moment(sites)
+    assert plain == isserlis_moment(m.covariance, sites)
+    assert m.moment_memo[(8, 9, 9, 11)] == plain.real
+    assert m.moment(sites, source) == sourced
+
+
+class MomentOnly:
+    """A measure seen through its lattice and moments alone."""
+
+    __slots__ = ("lattice", "moment")
+
+    def __init__(self, measure):
+        self.lattice = measure.lattice
+        self.moment = measure.moment
+
+
+def test_reconstruction_needs_only_the_lattice_and_moments():
+    real, stub = ou_covariance(0.8, LAT), MomentOnly(ou_covariance(0.8, LAT))
+    times = [float(t) for t in LAT.times[8:10]]
+    c = np.zeros(LAT.n_points)
+    c[[9, 11]] = (0.7, -0.4)
+    for exponentials in ((), (TestFunction(LAT, c),)):
+        a, b = (build_physical_space(m, times=times, max_degree=3, exponentials=exponentials)
+                for m in (real, stub))
+        for field in ("gram", "eigenvalues", "eigenvectors", "vacuum"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        raw = [transfer_operator(sp, 0.25, exact=False, contraction_tol=1.0e-3) for sp in (a, b)]
+        assert np.array_equal(*raw)
+        if not exponentials:
+            assert np.array_equal(transfer_operator(a, 0.25), transfer_operator(b, 0.25))
+    a, b = (build_physical_space(m, times=[T0], max_degree=4) for m in (real, stub))
+    ts = (T0, T0 + 0.25, T0 + 0.5, T0 + 0.75)
+    assert verify_npoint_identity(b, ts, (1, 1, 1, 1)) == verify_npoint_identity(a, ts, (1, 1, 1, 1))
+
+
+def test_reconstruction_reads_moments_only_through_the_measure():
+    tree = ast.parse(pathlib.Path(reconstruction.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "moments"
+                for alias in node.names}
+    assert imported == {"site_power_moments"}
+    readers = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr in ("covariance", "moment_memo")}
+    assert readers == {"check_reflection_intertwining"}
+    assert not hasattr(reconstruction, "_pairing")
+
+
+def test_npoint_mc_se_is_the_exact_standard_deviation(monkeypatch):
+    m = ou_covariance(1.0, LAT)
+    sp = build_physical_space(m, times=[T0], max_degree=4)
+    draws = []
+    real = reconstruction.sample_path_matrix
+    monkeypatch.setattr(reconstruction, "sample_path_matrix",
+                        lambda *args: draws.append(args) or real(*args))
+    rep = verify_npoint_identity(sp, (T0, T0 + 0.5), (1, 1), n_samples=1000, seed=SEED)
+    assert len(draws) == 1
+    j, k = LAT.index_of_time(T0), LAT.index_of_time(T0 + 0.5)
+    C = m.covariance
+    # Var[x_j x_k] = E[x_j^2 x_k^2] - C_jk^2 = C_jj C_kk + C_jk^2
+    want = np.sqrt((C[j, j] * C[k, k] + C[j, k] ** 2) / 1000)
+    assert rep.mc_se == pytest.approx(want, rel=1.0e-14)
+    paths = real(m, 1000, SEED)
+    assert rep.rhs_mc == float(np.mean(paths[:, j] * paths[:, k]))
 
 
 def test_measure_covariance_is_read_only():
