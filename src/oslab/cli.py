@@ -17,11 +17,13 @@ lattices, a test function outside D+), and any argument argparse rejects.
 Reports are plain text written atomically; tables carry 17 significant
 digits, summaries 6.  With a fixed seed and config, repeated runs produce
 byte-identical files: no timestamps, no absolute paths, fixed iteration
-order.  Each bound is decided once, by _gate (so NaN fails), in a function
-that returns the figures and failure lines to both the subcommand and the
-suite check that mirrors it; so suite figures equal the subcommands'.  A
-suite check that raises a CheckFailure gets a FAIL line with the error,
-and the other checks still run.
+order.  Every check fills one Check record: its named figures in report
+order and its failure lines, each bound decided once by Check.gate (NaN
+fails).  A subcommand and the suite check that mirrors it share the
+function that returns the record, so their figures are equal.  A check
+passes exactly when it has no failure line; _finish writes every verdict,
+failure line and exit code.  A suite check that raises a CheckFailure
+fails with the error as its failure line, and the other checks still run.
 
 Configuration is a key: value text file; command-line flags win over file
 values, and one parser per key (CONFIG_PARSERS) reads both.  The default
@@ -37,7 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
@@ -58,6 +60,7 @@ from .lattice import (
     ou_covariance,
 )
 from .positivity import (
+    KIND_PD,
     SampledObservable,
     certificate_to_text,
     delta_family,
@@ -202,9 +205,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional):
-    """Certificates over the seeded random families: cfg.families pd
-    certificates over complex functions, then as many rp certificates over
-    real D+ functions, all drawn from one generator seeded with cfg.seed."""
+    """Labelled certificates over the seeded random families: cfg.families
+    pd certificates over complex functions, then as many rp certificates
+    over real D+ functions, all drawn from one generator seeded with
+    cfg.seed; [(label, certificate)] for each kind."""
     rng = np.random.default_rng(cfg.seed)
     n, pos = lattice.n_points, lattice.positive_indices
 
@@ -216,21 +220,30 @@ def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional):
         c[pos] = 0.5 * rng.standard_normal(len(pos))
         return c
 
-    certs = []
-    for certify, draw in ((pd_gram_certificate, complex_coeffs),
-                          (rp_gram_certificate, dplus_coeffs)):
-        certs.append([])
-        for _ in range(cfg.families):
+    runs = []
+    for kind, certify, draw in (("pd", pd_gram_certificate, complex_coeffs),
+                                ("rp", rp_gram_certificate, dplus_coeffs)):
+        runs.append([])
+        for i in range(cfg.families):
             size = int(rng.integers(1, cfg.family_size + 1))
             family = [TestFunction(lattice, draw()) for _ in range(size)]
-            certs[-1].append(certify(functional, family))
-    return certs
+            runs[-1].append(("%s family %d" % (kind, i), certify(functional, family)))
+    return runs
+
+
+def _certificates(runs) -> Check:
+    """The count of the (label, certificate) runs and of their indefinite
+    ones, and one failure line per indefinite certificate."""
+    bad = [(label, cert) for label, cert in runs if cert.verdict != "positive"]
+    return Check({"certificates": len(runs), "indefinite": len(bad)},
+                 ["%s: indefinite, min_eig %s" % (label, fmt6(cert.min_eigenvalue))
+                  for label, cert in bad])
 
 
 def _spike_control(measure: GaussianEuclideanMeasure):
     """The non-rp control: the plain functional on a spike at every positive site."""
     spikes = delta_family(measure.lattice, list(measure.lattice.positive_indices), NON_RP_SCALE)
-    return "rp spike family", measure.generating_functional, spikes
+    return "rp spike family", rp_gram_certificate, measure.generating_functional, spikes
 
 
 def _corrupted_control(measure: GaussianEuclideanMeasure):
@@ -244,7 +257,7 @@ def _corrupted_control(measure: GaussianEuclideanMeasure):
     c = np.zeros(lattice.n_points)
     c[min(CORRUPTED_SPIKE_SITE, lattice.n_points - 1)] = CORRUPTED_SPIKE_SCALE
     family = [TestFunction(lattice, np.zeros_like(c)), TestFunction(lattice, c)]
-    return "pd fixture", corrupted, family
+    return "pd fixture", pd_gram_certificate, corrupted, family
 
 
 @dataclass(frozen=True)
@@ -257,8 +270,8 @@ class Instance:
     # cfg -> the gap m of the ladder m, 2m, ... its transfer must show; None
     # when that is only the raw compression, gated on its norm at 1e-3
     gap: Callable = lambda cfg: None
-    # a fixture's measure -> (label, functional, family): the certificate
-    # that leads those of the kind ("pd" or "rp") its label starts with
+    # a fixture's measure -> (label, certificate function, functional,
+    # family): the certificate that leads those of its kind
     control: Callable | None = None
 
 
@@ -289,8 +302,7 @@ def _control(inst: Instance, measure: GaussianEuclideanMeasure):
     control as (label, certificate), or None when it has none."""
     if inst.control is None:
         return measure.generating_functional, None
-    label, functional, family = inst.control(measure)
-    certify = pd_gram_certificate if label.startswith("pd") else rp_gram_certificate
+    label, certify, functional, family = inst.control(measure)
     return functional, (label, certify(functional, family))
 
 
@@ -306,24 +318,49 @@ def _config_lines(cfg: RunConfig, keys) -> list:
     return ["%s: %s" % (k, render(getattr(cfg, k))) for k in keys]
 
 
-def _gate(failures: list, value: float, bound: float, text: str) -> None:
-    """Append the failure line `text` unless value <= bound; NaN fails."""
-    if not value <= bound:
-        failures.append(text)
+@dataclass
+class Check:
+    """One check's outcome: its named figures in report order, keyed as its
+    report names them, and its failure lines.  It passes exactly when it
+    has no failure line."""
+
+    figures: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)
+
+    def gate(self, key: str, value: float, bound: float, text: str) -> None:
+        """Record the figure `key`, and the failure `text` unless value <= bound (NaN fails)."""
+        self.figures[key] = value
+        if not value <= bound:
+            self.failures.append(text)
+
+    def require(self, ok: bool, text: str) -> None:
+        """Record the failure line `text` unless ok."""
+        if not ok:
+            self.failures.append(text)
+
+    def merge(self, other: "Check") -> "Check":
+        self.figures.update(other.figures)
+        self.failures += other.failures
+        return self
+
+    def summary(self) -> str:
+        """`key value, ...` with six digits, then each failure line after `; `."""
+        figures = ", ".join("%s %s" % (k, fmt6(v)) for k, v in self.figures.items())
+        return "; ".join(filter(None, [figures, *self.failures]))
 
 
 def _finish(cfg: RunConfig, quiet: bool, command: str, filename: str, lines: list,
-            failures: list) -> int:
-    """Close a report with its verdict and one line per failure, write it,
-    print the failures and the verdict, and return the exit code."""
-    lines.append("verdict: %s" % ("pass" if not failures else "fail"))
-    lines += ["failure: %s" % f for f in failures]
-    lines.append("")
+            check: Check, sections: tuple = ()) -> int:
+    """Close a report with its verdict, a line per failure of `check` and the
+    sections; write it, print the failures and verdict, return the exit code."""
+    lines.append("verdict: %s" % ("pass" if not check.failures else "fail"))
+    lines += ["failure: %s" % f for f in check.failures]
+    lines += ["", *sections]
     atomic_write(os.path.join(cfg.out_dir(), filename), "\n".join(lines))
-    for f in failures:
+    for f in check.failures:
         _say(quiet, "%s FAIL: %s" % (command, f))
-    _say(quiet, "%s: %s" % (command, "PASS" if not failures else "FAIL"))
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+    _say(quiet, "%s: %s" % (command, "PASS" if not check.failures else "FAIL"))
+    return EXIT_OK if not check.failures else EXIT_CHECK_FAILED
 
 
 # -- rp-check -----------------------------------------------------------------
@@ -332,35 +369,27 @@ def cmd_rp_check(cfg: RunConfig, quiet: bool = False) -> int:
     inst = INSTANCES[cfg.instance]
     measure = inst.build(cfg, TimeLattice(cfg.n_points, cfg.spacing))
     functional, control = _control(inst, measure)
-    families = _family_certificates(cfg, measure.lattice, functional)
-    runs = [("%s family %d" % (kind, i), cert)  # (label, certificate)
-            for kind, certs in zip(("pd", "rp"), families) for i, cert in enumerate(certs)]
+    pd_runs, rp_runs = _family_certificates(cfg, measure.lattice, functional)
     if control is not None:  # it leads the certificates of its kind
-        runs.insert(0 if control[0].startswith("pd") else cfg.families, control)
+        (pd_runs if control[1].kind == KIND_PD else rp_runs).insert(0, control)
+    runs = pd_runs + rp_runs
+    check = _certificates(runs)
 
-    n_bad = sum(1 for _, cert in runs if cert.verdict != "positive")
     lines = ["format: oslab-rp-check v1"]
-    lines += _config_lines(
-        cfg, ("instance", "n_points", "spacing", "mass", "seed", "families", "family_size")
-    )
-    lines += ["tolerance: %s" % fmt(PSD_RTOL), "certificates: %d" % len(runs)]
+    lines += _config_lines(cfg, ("instance", "n_points", "spacing", "mass", "seed", "families",
+                                 "family_size"))
+    lines += ["tolerance: %s" % fmt(PSD_RTOL), "certificates: %d" % check.figures["certificates"]]
     for label, cert in runs:
         lines.append("%s: %s size=%d min_eig=%s norm=%s" % (
             label, cert.verdict, cert.gram.shape[0], fmt6(cert.min_eigenvalue), fmt6(cert.norm)))
         _say(quiet, "rp-check %s: %s (min eig %s)" % (label, cert.verdict, fmt6(cert.min_eigenvalue)))
-    lines += ["indefinite: %d" % n_bad, "verdict: %s" % ("pass" if n_bad == 0 else "fail"), ""]
-    for label, cert in runs:
-        lines += ["[%s]" % label, certificate_to_text(cert).rstrip("\n"), ""]
-
-    out = cfg.out_dir()
-    atomic_write(os.path.join(out, "rp_check_report.txt"), "\n".join(lines))
-    if n_bad:
-        first_bad = next(cert for _, cert in runs if cert.verdict != "positive")
-        atomic_write(os.path.join(out, "witness.txt"), certificate_to_text(first_bad))
-        _say(quiet, "rp-check: FAIL (%d indefinite; witness written)" % n_bad)
-        return EXIT_CHECK_FAILED
-    _say(quiet, "rp-check: PASS (%d certificates positive)" % len(runs))
-    return EXIT_OK
+    lines.append("indefinite: %d" % check.figures["indefinite"])
+    sections = [line for label, cert in runs
+                for line in ("[%s]" % label, certificate_to_text(cert).rstrip("\n"), "")]
+    first_bad = next((cert for _, cert in runs if cert.verdict != "positive"), None)
+    if first_bad is not None:
+        atomic_write(os.path.join(cfg.out_dir(), "witness.txt"), certificate_to_text(first_bad))
+    return _finish(cfg, quiet, "rp-check", "rp_check_report.txt", lines, check, sections)
 
 
 # -- reconstruct --------------------------------------------------------------
@@ -384,40 +413,38 @@ def _comparison_rows(reports, with_mc: bool):
     return "\n".join(rows) + "\n"
 
 
-def _ladder(space, T: np.ndarray, step: float, gap: float | None):
-    """Hamiltonian of the transfer T, its excitation gaps over the ground
-    state, their worst relative deviation from the harmonic ladder gap,
-    2 gap, ..., the vacuum energy |H vacuum|, and the failure lines of both;
-    with gap None (a raw compression) nothing is gated and the deviation is
-    None."""
-    ham = extract_hamiltonian(space, T, step)
+def _ladder(space, ham, gap: float | None) -> Check:
+    """The check of the Hamiltonian's excitation gaps over the ground state
+    against the harmonic ladder gap, 2 gap, ...: their worst relative
+    deviation and the vacuum energy |H vacuum|; with gap None (a raw
+    compression) only the vacuum energy, ungated."""
     gaps = ham.spectrum[1:] - ham.spectrum[0]
     vacuum = float(np.linalg.norm(ham.matrix @ space.vacuum))
     if gap is None:
-        return ham, gaps, None, vacuum, []
+        return Check({"vacuum_energy_norm": vacuum})
     expected = gap * np.arange(1, len(gaps) + 1)
     gap_dev = float(np.max(np.abs(gaps - expected) / expected)) if len(gaps) else 0.0
-    failures = []
-    _gate(failures, vacuum, RESIDUAL_TOL,
-          "vacuum energy %s exceeds %g" % (fmt6(vacuum), RESIDUAL_TOL))
-    _gate(failures, gap_dev, REL_DEV_TOL,
-          "spectrum gaps deviate %s from harmonic ladder" % fmt6(gap_dev))
-    return ham, gaps, gap_dev, vacuum, failures
+    check = Check()
+    check.gate("gap_deviation", gap_dev, REL_DEV_TOL,
+               "spectrum gaps deviate %s from harmonic ladder" % fmt6(gap_dev))
+    check.gate("vacuum_energy_norm", vacuum, RESIDUAL_TOL,
+               "vacuum energy %s exceeds %g" % (fmt6(vacuum), RESIDUAL_TOL))
+    return check
 
 
-def _semigroup(transfer, pairs):
+def _semigroup(transfer, pairs) -> Check:
     """The worst norm of T(a) and the worst semigroup residual
     |T(a) T(b) - T(a + b)| over the step-count pairs (a, b), reduced with
-    np.max so NaN propagates, and their failure lines at the exact
-    transfer's bounds."""
+    np.max so NaN propagates, gated at the exact transfer's bounds."""
     norm = float(np.max([np.linalg.norm(transfer(a), 2) for a, _ in pairs]))
     semi = float(np.max([np.max(np.abs(transfer(a) @ transfer(b) - transfer(a + b)))
                          for a, b in pairs]))
-    failures = []
-    _gate(failures, norm, 1.0 + CONTRACTION_TOL, "contraction norm %s exceeds bound" % fmt6(norm))
-    _gate(failures, semi, RESIDUAL_TOL,
-          "semigroup residual %s exceeds %g" % (fmt6(semi), RESIDUAL_TOL))
-    return norm, semi, failures
+    check = Check()
+    check.gate("transfer_norm", norm, 1.0 + CONTRACTION_TOL,
+               "contraction norm %s exceeds bound" % fmt6(norm))
+    check.gate("semigroup_residual", semi, RESIDUAL_TOL,
+               "semigroup residual %s exceeds %g" % (fmt6(semi), RESIDUAL_TOL))
+    return check
 
 
 def _moment_cases(measure, times, degrees, max_degree: int, samples: int = 0, seed: int = 0):
@@ -425,25 +452,26 @@ def _moment_cases(measure, times, degrees, max_degree: int, samples: int = 0, se
     npoint's default cases q q and q q q q one spacing apart from the first
     positive site t0, each over a space at t0 (where the compressed
     multiplication chain telescopes exactly) of degree max(max_degree, total
-    degree): [(label, report)] and the failure lines of the operator-vs-Wick
-    bound and, with samples, of the Monte Carlo arm."""
+    degree): [(label, report)] and the check of each case's operator-vs-Wick
+    deviation (`<label> rel_dev`) and, with samples, of its Monte Carlo arm
+    (`<label> sigma_dev`)."""
     t0, = _positive_times(measure.lattice, 1)
     h = measure.lattice.spacing
     cases = ([(times, degrees)] if times else
              [((t0, t0 + h), (1, 1)), ((t0, t0 + h, t0 + 2 * h, t0 + 3 * h), (1, 1, 1, 1))])
-    reports, failures = [], []
+    reports, check = [], Check()
     for case_times, case_degrees in cases:
         need = max(max_degree, sum(case_degrees))
         space = build_physical_space(measure, times=(t0,), max_degree=need)
         rep = verify_npoint_identity(space, case_times, case_degrees, n_samples=samples, seed=seed)
         label = "".join("q(%s)^%d" % (fmt6(t), d) for t, d in zip(case_times, case_degrees))
         reports.append((label, rep))
-        _gate(failures, rep.operator_vs_wick, REL_DEV_TOL,
-              "%s: operator vs Wick off by %s" % (label, fmt6(rep.operator_vs_wick)))
+        check.gate("%s rel_dev" % label, rep.operator_vs_wick, REL_DEV_TOL,
+                   "%s: operator vs Wick off by %s" % (label, fmt6(rep.operator_vs_wick)))
         if rep.mc_sigma_deviation is not None:
-            _gate(failures, rep.mc_sigma_deviation, SIGMA_TOL,
-                  "%s: Monte Carlo off by %s sigma" % (label, fmt6(rep.mc_sigma_deviation)))
-    return reports, failures
+            check.gate("%s sigma_dev" % label, rep.mc_sigma_deviation, SIGMA_TOL,
+                       "%s: Monte Carlo off by %s sigma" % (label, fmt6(rep.mc_sigma_deviation)))
+    return reports, check
 
 
 def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
@@ -461,40 +489,44 @@ def cmd_reconstruct(cfg: RunConfig, quiet: bool = False) -> int:
     transfers = {k: transfer_operator(space, k * step, exact=exact, contraction_tol=contraction_tol)
                  for k in (1, 2)}
     T = transfers[1]
-    norm, semigroup_residual, failures = _semigroup(transfers.__getitem__, ((1, 1),))
+    check = _semigroup(transfers.__getitem__, ((1, 1),))
+    if not exact:
+        # a raw compression is gated on its norm alone, at its looser bound, by transfer_operator
+        check.failures.clear()
     asymmetry = float(np.max(np.abs(T - T.T)))
-    ham, gaps, gap_dev, vacuum_energy, ladder_failures = _ladder(space, T, step, gap)
-    # a raw compression is gated on its norm alone, at its looser bound, by transfer_operator
-    failures = failures + ladder_failures if exact else []
+    ham = extract_hamiltonian(space, T, step)
+    gaps = ham.spectrum[1:] - ham.spectrum[0]
+    figures = check.merge(_ladder(space, ham, gap)).figures
     if exact:
         t0, = _positive_times(lattice, 1)
-        [(_, two_point)], more = _moment_cases(
+        [(_, two_point)], moments = _moment_cases(
             measure, (t0, t0 + step), (1, 1), cfg.max_degree, cfg.samples, cfg.seed)
-        failures += more
+        check.merge(moments)
 
     lines = ["format: oslab-reconstruct v1"]
     lines += _config_lines(cfg, ("instance", "n_points", "spacing", "mass", "max_degree", "seed"))
     lines += ["basis_times: %s" % " ".join(fmt(t) for t in times), "step: %s" % fmt(step),
               "basis_size: %d" % len(space.basis), "physical_dim: %d" % space.physical_dim]
     lines += ["gram_eigenvalues:"] + ["  %s" % fmt(float(w)) for w in space.eigenvalues]
-    lines += ["transfer_norm: %s" % fmt(norm), "transfer_asymmetry: %s" % fmt(asymmetry),
-              "semigroup_residual: %s" % fmt(semigroup_residual)]
+    lines += ["transfer_norm: %s" % fmt(figures["transfer_norm"]),
+              "transfer_asymmetry: %s" % fmt(asymmetry),
+              "semigroup_residual: %s" % fmt(figures["semigroup_residual"])]
     if not exact:
         lines.append("note: raw orthogonal compression; finite-volume effects reported, not hidden")
     lines += ["raw_spectrum:"] + ["  %s" % fmt(float(w)) for w in ham.raw_spectrum]
     lines += ["shifted_spectrum:"] + ["  %s" % fmt(float(w)) for w in ham.spectrum]
     lines += ["spectrum_gaps:"] + ["  gap %d: %s" % (k, fmt(float(g)))
                                    for k, g in enumerate(gaps, start=1)]
-    if gap_dev is not None:
-        lines.append("gap_deviation: %s" % fmt(gap_dev))
-    lines.append("vacuum_energy_norm: %s" % fmt(vacuum_energy))
+    lines += ["%s: %s" % (k, fmt(figures[k]))
+              for k in ("gap_deviation", "vacuum_energy_norm") if k in figures]
     if exact:
         lines.append("two_point_rel_dev: %s" % fmt(two_point.operator_vs_wick))
         label = "q(%s)q(%s)" % (fmt6(t0), fmt6(t0 + step))
         atomic_write(os.path.join(cfg.out_dir(), "reconstruct_comparison.csv"),
                      _comparison_rows([(label, two_point)], with_mc=cfg.samples > 0))
-    _say(quiet, "reconstruct physical_dim=%d transfer_norm=%s" % (space.physical_dim, fmt6(norm)))
-    return _finish(cfg, quiet, "reconstruct", "reconstruct_report.txt", lines, failures)
+    _say(quiet, "reconstruct physical_dim=%d transfer_norm=%s"
+         % (space.physical_dim, fmt6(figures["transfer_norm"])))
+    return _finish(cfg, quiet, "reconstruct", "reconstruct_report.txt", lines, check)
 
 
 # -- npoint -------------------------------------------------------------------
@@ -505,23 +537,26 @@ def cmd_npoint(cfg: RunConfig, quiet: bool = False) -> int:
     if len(cfg.times) != len(cfg.degrees):
         raise ConfigError("times and degrees must have equal length")
     measure = inst.build(cfg, TimeLattice(cfg.n_points, cfg.spacing))
-    reports, failures = _moment_cases(
+    reports, check = _moment_cases(
         measure, cfg.times, cfg.degrees, cfg.max_degree, cfg.samples, cfg.seed)
 
     lines = ["format: oslab-npoint v1"]
     lines += _config_lines(cfg, ("instance", "n_points", "spacing", "mass", "samples", "seed"))
     lines.append("cases: %d" % len(reports))
     for label, rep in reports:
+        rel_dev = check.figures["%s rel_dev" % label]
         lines += ["%s:" % label, "  lhs_operator: %s" % fmt(rep.lhs_operator),
-                  "  rhs_wick: %s" % fmt(rep.rhs_wick), "  rel_dev: %s" % fmt(rep.operator_vs_wick)]
+                  "  rhs_wick: %s" % fmt(rep.rhs_wick), "  rel_dev: %s" % fmt(rel_dev)]
+        mc = ""
         if cfg.samples > 0:
+            sigma_dev = check.figures["%s sigma_dev" % label]
             lines += ["  rhs_mc: %s" % fmt(rep.rhs_mc), "  mc_se: %s" % fmt(rep.mc_se),
-                      "  sigma_dev: %s" % fmt(rep.mc_sigma_deviation)]
-        mc = "" if cfg.samples == 0 else ", mc %s sigma" % fmt6(rep.mc_sigma_deviation)
-        _say(quiet, "npoint %s: rel dev %s%s" % (label, fmt6(rep.operator_vs_wick), mc))
+                      "  sigma_dev: %s" % fmt(sigma_dev)]
+            mc = ", mc %s sigma" % fmt6(sigma_dev)
+        _say(quiet, "npoint %s: rel dev %s%s" % (label, fmt6(rel_dev), mc))
     atomic_write(os.path.join(cfg.out_dir(), "npoint_comparison.csv"),
                  _comparison_rows(reports, with_mc=cfg.samples > 0))
-    return _finish(cfg, quiet, "npoint", "npoint_report.txt", lines, failures)
+    return _finish(cfg, quiet, "npoint", "npoint_report.txt", lines, check)
 
 
 # -- cdual --------------------------------------------------------------------
@@ -536,27 +571,24 @@ def _load_algebra(name: str):
 
 
 def _double_dual(name: str, algebra, involution):
-    """The involutive split, the adapted algebra and the c-dual, with the
-    dual's Jacobi residual, the drift of the dual applied twice, for
-    sl2R-cartan the distance of the dual from su(2) (None otherwise), and
-    the failure lines of the drift and the distance.  c_dual itself raises
-    StructureError on the dual's Jacobi residual."""
+    """The involutive split, the adapted algebra and the c-dual, and the
+    check of the dual's Jacobi residual (reported; c_dual itself raises
+    StructureError on it), the drift of the dual applied twice and, for
+    sl2R-cartan, the distance of the dual from su(2)."""
     split = liealg.split_by_involution(algebra, involution)
     adapted, _ = liealg.adapted_algebra(split)
     dual = liealg.c_dual(split)
-    jacobi = liealg.validate_algebra(dual).jacobi_residual
+    check = Check({"dual_jacobi_residual": liealg.validate_algebra(dual).jacobi_residual})
     dual_split = liealg.split_by_involution(dual, liealg.c_dual_involution(split))
     double = float(np.max(np.abs(liealg.c_dual(dual_split).structure - adapted.structure)))
-    su2 = None
+    check.gate("double_dual_residual", double, liealg.STRUCTURE_TOL,
+               "applying the dual twice drifts by %s" % fmt6(double))
     if name == "sl2R-cartan":
         su2 = float(np.max(np.abs(
             liealg.change_basis(dual, liealg.SU2_BASIS_CHANGE).structure - liealg.su2_structure())))
-    failures = []
-    _gate(failures, double, liealg.STRUCTURE_TOL,
-          "applying the dual twice drifts by %s" % fmt6(double))
-    if su2 is not None:
-        _gate(failures, su2, SU2_MATCH_TOL, "compact-form identification off by %s" % fmt6(su2))
-    return split, adapted, dual, jacobi, double, su2, failures
+        check.gate("su2_match_residual", su2, SU2_MATCH_TOL,
+                   "compact-form identification off by %s" % fmt6(su2))
+    return (split, adapted, dual), check
 
 
 def cmd_cdual(cfg: RunConfig, quiet: bool = False) -> int:
@@ -565,63 +597,59 @@ def cmd_cdual(cfg: RunConfig, quiet: bool = False) -> int:
     report = liealg.validate_algebra(algebra)
     if involution is None:
         raise ConfigError("algebra %r carries no involution; cannot form the dual" % name)
-    split, adapted, dual, dual_jacobi, double_residual, su2_residual, failures = _double_dual(
-        name, algebra, involution)
+    (split, adapted, dual), check = _double_dual(name, algebra, involution)
 
-    lines = ["format: oslab-cdual v1"]
-    lines.append("algebra: %s" % name)
-    lines.append("dim: %d" % algebra.dim)
-    lines.append("antisymmetry_residual: %s" % fmt(report.antisymmetry_residual))
-    lines.append("jacobi_residual: %s" % fmt(report.jacobi_residual))
-    lines.append("h_dim: %d" % split.h_dim)
-    lines.append("q_dim: %d" % split.q_dim)
-    lines.append("bracket_residual: %s" % fmt(split.bracket_residual))
-    lines.append("adapted_labels: %s" % " ".join(adapted.labels))
-    lines.append("dual_labels: %s" % " ".join(dual.labels))
-    lines.append("dual_structure:")
+    lines = ["format: oslab-cdual v1", "algebra: %s" % name, "dim: %d" % algebra.dim,
+             "antisymmetry_residual: %s" % fmt(report.antisymmetry_residual),
+             "jacobi_residual: %s" % fmt(report.jacobi_residual),
+             "h_dim: %d" % split.h_dim, "q_dim: %d" % split.q_dim,
+             "bracket_residual: %s" % fmt(split.bracket_residual),
+             "adapted_labels: %s" % " ".join(adapted.labels),
+             "dual_labels: %s" % " ".join(dual.labels), "dual_structure:"]
     lines += liealg.structure_lines(dual.structure)
-    lines.append("dual_jacobi_residual: %s" % fmt(dual_jacobi))
-    lines.append("double_dual_residual: %s" % fmt(double_residual))
-    if su2_residual is not None:
-        lines.append("su2_match_residual: %s" % fmt(su2_residual))
+    lines += ["%s: %s" % (k, fmt(v)) for k, v in check.figures.items()]
 
     _say(quiet, "cdual %s: h_dim=%d q_dim=%d double_dual_residual=%s"
-         % (name, split.h_dim, split.q_dim, fmt6(double_residual)))
-    return _finish(cfg, quiet, "cdual", "cdual_report.txt", lines, failures)
+         % (name, split.h_dim, split.q_dim, fmt6(check.figures["double_dual_residual"])))
+    return _finish(cfg, quiet, "cdual", "cdual_report.txt", lines, check)
 
 
 # -- cone-check ---------------------------------------------------------------
 
-def _cone_failures(report) -> list:
-    """Failure lines of a hyperbolic cone report: a non-hyperbolic point, a
-    witness that is not strictly positive, a cone the fixed subgroup moves."""
-    failures = []
+def _cone(report) -> Check:
+    """The check of a hyperbolic cone report: its invariance residual under
+    the fixed subgroup, and failure lines for a non-hyperbolic point and a
+    witness that is not strictly positive."""
+    check = Check()
     if not report.all_hyperbolic:
         bad = next(pc for pc in report.point_checks if not pc.hyperbolic)
-        failures.append("non-hyperbolic cone point: %s" % bad.reason)
-    if not report.witness_strictly_positive:
-        failures.append("interior witness is not a strictly positive combination")
-    _gate(failures, report.invariance_residual, liealg.CONE_RESIDUAL_TOL,
-          "cone not invariant under the fixed subgroup (residual %s)"
-          % fmt6(report.invariance_residual))
-    return failures
+        check.failures.append("non-hyperbolic cone point: %s" % bad.reason)
+    check.require(report.witness_strictly_positive,
+                  "interior witness is not a strictly positive combination")
+    check.gate("invariance_residual", report.invariance_residual, liealg.CONE_RESIDUAL_TOL,
+               "cone not invariant under the fixed subgroup (residual %s)"
+               % fmt6(report.invariance_residual))
+    return check
 
 
-def _membership(cfg: RunConfig):
-    """Quadrant semigroup products and the wedge control (cfg.samples of
-    each, 200 when unset), with the failure lines of the quadrant; the
-    wedge is expected to fail and is diagnostic only."""
+def _membership(cfg: RunConfig) -> Check:
+    """Quadrant semigroup products and the wedge control, cfg.samples of
+    each (200 when unset): the quadrant's rate must be 1 and its worst
+    re-factorization residual within bound; the wedge is expected to fail
+    and is diagnostic only."""
     n_products = cfg.samples if cfg.samples > 0 else 200
     membership = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="quadrant")
     control = liealg.semigroup_membership_sample(n_products, cfg.seed, cone="wedge")
-    failures = []
-    if membership.success_rate < 1.0:
-        failures.append("quadrant products failed to re-factor (%d of %d)"
-                        % (membership.n_products - membership.n_success, membership.n_products))
-    else:
-        _gate(failures, membership.worst_residual, RESIDUAL_TOL,
-              "re-factorization residual %s" % fmt6(membership.worst_residual))
-    return membership, control, failures
+    check = Check({"membership_products": membership.n_products,
+                   "membership_rate": membership.success_rate})
+    check.require(membership.n_success == membership.n_products,
+                  "quadrant products failed to re-factor (%d of %d)"
+                  % (membership.n_products - membership.n_success, membership.n_products))
+    check.gate("membership_worst_residual", membership.worst_residual, RESIDUAL_TOL,
+               "re-factorization residual %s" % fmt6(membership.worst_residual))
+    check.figures.update(wedge_control_rate=control.success_rate,
+                         wedge_control_failures=len(control.failures))
+    return check
 
 
 def cmd_cone_check(cfg: RunConfig, quiet: bool = False) -> int:
@@ -637,41 +665,29 @@ def cmd_cone_check(cfg: RunConfig, quiet: bool = False) -> int:
         liealg.validate_algebra(algebra)
         split = liealg.split_by_involution(algebra, involution)
     else:
-        raise ConfigError(
-            "cone-check takes sl2R-adH, nilpotent-control, or an algebra file with a cone"
-        )
+        raise ConfigError("cone-check takes sl2R-adH, nilpotent-control, "
+                          "or an algebra file with a cone")
 
     report = liealg.hyperbolic_cone_check(split, cone, h_samples=8, seed=cfg.seed)
-    failures = _cone_failures(report)
-    membership = None
-    if name == "sl2R-adH":
-        membership, control, more = _membership(cfg)
-        failures += more
+    check = _cone(report)
 
-    lines = ["format: oslab-cone-check v1"]
-    lines.append("algebra: %s" % name)
-    lines.append("h_dim: %d" % split.h_dim)
-    lines.append("q_dim: %d" % split.q_dim)
-    lines.append("points_checked: %d" % len(report.point_checks))
-    lines.append("all_hyperbolic: %s" % ("true" if report.all_hyperbolic else "false"))
-    lines.append("witness_strictly_positive: %s"
-                 % ("true" if report.witness_strictly_positive else "false"))
-    lines.append("witness_combination: %s" % " ".join(fmt(x) for x in report.witness_combination))
-    lines.append("invariance_residual: %s" % fmt(report.invariance_residual))
-    for idx, pc in enumerate(report.point_checks):
-        eigs = " ".join(fmt(float(v)) for v in np.sort(pc.eigenvalues.real))
-        lines.append("point %d: %s [%s]" % (idx, pc.reason, eigs))
-    if membership is not None:
-        lines.append("membership_products: %d" % membership.n_products)
-        lines.append("membership_rate: %s" % fmt(membership.success_rate))
-        lines.append("membership_worst_residual: %s" % fmt(membership.worst_residual))
-        lines.append("wedge_control_rate: %s" % fmt(control.success_rate))
-        lines.append("wedge_control_failures: %d" % len(control.failures))
+    lines = ["format: oslab-cone-check v1", "algebra: %s" % name, "h_dim: %d" % split.h_dim,
+             "q_dim: %d" % split.q_dim, "points_checked: %d" % len(report.point_checks),
+             "all_hyperbolic: %s" % str(report.all_hyperbolic).lower(),
+             "witness_strictly_positive: %s" % str(report.witness_strictly_positive).lower(),
+             "witness_combination: %s" % " ".join(fmt(x) for x in report.witness_combination),
+             "invariance_residual: %s" % fmt(check.figures["invariance_residual"])]
+    lines += ["point %d: %s [%s]" % (i, pc.reason, " ".join(map(fmt, np.sort(pc.eigenvalues.real))))
+              for i, pc in enumerate(report.point_checks)]
+    if name == "sl2R-adH":
+        membership = _membership(cfg)
+        check.merge(membership)
+        lines += ["%s: %s" % (k, fmt(v)) for k, v in membership.figures.items()]
         lines.append("note: the wedge control is expected to fail; it is diagnostic only")
 
     _say(quiet, "cone-check %s: hyperbolic=%s invariance_residual=%s"
-         % (name, report.all_hyperbolic, fmt6(report.invariance_residual)))
-    return _finish(cfg, quiet, "cone-check", "cone_check_report.txt", lines, failures)
+         % (name, report.all_hyperbolic, fmt6(check.figures["invariance_residual"])))
+    return _finish(cfg, quiet, "cone-check", "cone_check_report.txt", lines, check)
 
 
 # -- suite --------------------------------------------------------------------
@@ -713,138 +729,127 @@ class _SuiteInputs:
         return self._transfers[steps]
 
 
-def _check_covariance_psd(run: _SuiteInputs):
-    # the spectral norm of a symmetric matrix is its largest |eigenvalue|
-    margins = [float(m.eigenvalues[0] / np.max(np.abs(m.eigenvalues))) for m in (run.ou, run.ff)]
-    return (all(v >= -PSD_RTOL for v in margins),
-            "min eig over norm: %s" % " ".join(fmt6(v) for v in margins))
-
-
-def _check_stationarity_reflection(run: _SuiteInputs):
-    st_ou, dev_ou = check_stationarity(run.ou)
-    sym_ou, _ = check_time_reflection_symmetry(run.ou)
-    sym_ff, _ = check_time_reflection_symmetry(run.ff)
-    _, dev_ff = check_stationarity(run.ff)
-    return (st_ou and sym_ou and sym_ff,
-            "ou deviation %s, boundary-pinned deviation %s reported"
-            % (fmt6(dev_ou), fmt6(dev_ff)))
-
-
-def _family_verdict(certs):
-    return (all(c.verdict == "positive" for c in certs),
-            "%d families, worst relative min eig %s"
-            % (len(certs), fmt6(min(c.min_eigenvalue / c.norm for c in certs))))
-
-
-def _control_check(name: str, what: str):
-    """The suite check that a fixture's control gives the verdict its entry expects."""
-
-    def check(run: _SuiteInputs):
-        inst = INSTANCES[name]
-        _, (_, cert) = _control(inst, run.measure(name))
-        expected = "positive" if inst.reflection_positive else "indefinite"
-        return (cert.verdict == expected,
-                "%s min eig %s (%s expected)" % (what, fmt6(cert.min_eigenvalue), expected))
-
+def _check_covariance_psd(run: _SuiteInputs) -> Check:
+    check = Check()
+    for name, measure in (("ou", run.ou), ("free_field", run.ff)):
+        # the spectral norm of a symmetric matrix is its largest |eigenvalue|
+        margin = float(measure.eigenvalues[0] / np.max(np.abs(measure.eigenvalues)))
+        check.figures["%s_min_eig_over_norm" % name] = margin
+        check.require(margin >= -PSD_RTOL, "%s covariance is indefinite" % name)
     return check
 
 
-def _check_sampled_rp(run: _SuiteInputs):
+def _check_stationarity_reflection(run: _SuiteInputs) -> Check:
+    check = Check()
+    # the boundary-pinned free field is not stationary: its deviation is reported, not gated
+    for name, m, gated in (("ou", run.ou, True), ("free_field", run.ff, False)):
+        stationary, check.figures[name + "_stationarity_deviation"] = check_stationarity(m)
+        check.require(stationary or not gated, "%s covariance is not stationary" % name)
+        symmetric, check.figures[name + "_reflection_deviation"] = check_time_reflection_symmetry(m)
+        check.require(symmetric, "%s covariance is not reflection symmetric" % name)
+    return check
+
+
+def _family_check(runs) -> Check:
+    """Every family certificate of one kind is positive."""
+    check = _certificates(runs)
+    check.figures["worst_min_eig_over_norm"] = min(c.min_eigenvalue / c.norm for _, c in runs)
+    return check
+
+
+def _control_check(run: _SuiteInputs, name: str) -> Check:
+    """A fixture's control gives the verdict its entry expects."""
+    inst = INSTANCES[name]
+    _, (label, cert) = _control(inst, run.measure(name))
+    expected = "positive" if inst.reflection_positive else "indefinite"
+    check = Check({"min_eig": cert.min_eigenvalue, "norm": cert.norm})
+    check.require(cert.verdict == expected, "%s: %s, %s expected" % (label, cert.verdict, expected))
+    return check
+
+
+def _check_sampled_rp(run: _SuiteInputs) -> Check:
     t0, t1 = _positive_times(run.lattice, 2)
-    obs = [
-        SampledObservable(((t0, "q"),)),
-        SampledObservable(((t1, "q"),)),
-        SampledObservable(((t0, "q2"),)),
-        SampledObservable(((t0, "tanh"),)),
-    ]
+    obs = [SampledObservable(((t, kind),))
+           for t, kind in ((t0, "q"), (t1, "q"), (t0, "q2"), (t0, "tanh"))]
     n_mc = run.cfg.samples if run.cfg.samples > 0 else 2000
     cert = rp_sampled_certificate(run.ou, obs, n_mc, run.cfg.seed)
-    return (cert.verdict == "positive",
-            "%d paths, min eig %s (se %s)"
-            % (n_mc, fmt6(cert.min_eigenvalue), fmt6(cert.min_eigenvalue_se)))
+    check = Check({"paths": n_mc, "min_eig": cert.min_eigenvalue,
+                   "min_eig_se": cert.min_eigenvalue_se})
+    check.require(cert.verdict == "positive", "sampled gram is indefinite")
+    return check
 
 
-def _check_reconstruction_spectrum(run: _SuiteInputs):
-    *_, gap_dev, vac, failures = _ladder(run.space, run.transfer(1), run.cfg.spacing,
-                                         INSTANCES["ou"].gap(run.cfg))
-    return not failures, "gap deviation %s, vacuum energy %s" % (fmt6(gap_dev), fmt6(vac))
+def _check_reconstruction_spectrum(run: _SuiteInputs) -> Check:
+    ham = extract_hamiltonian(run.space, run.transfer(1), run.cfg.spacing)
+    return _ladder(run.space, ham, INSTANCES["ou"].gap(run.cfg))
 
 
-def _check_contraction_semigroup(run: _SuiteInputs):
-    norm, semi, failures = _semigroup(run.transfer, ((1, 1), (1, 2), (2, 2)))
-    return (not failures, "worst norm excess %s, semigroup residual %s"
-            % (fmt6(np.maximum(norm - 1.0, 0.0)), fmt6(semi)))
+def _check_npoint_identity(run: _SuiteInputs) -> Check:
+    _, check = _moment_cases(run.ou, (), (), run.cfg.max_degree)
+    return check
 
 
-def _check_npoint_identity(run: _SuiteInputs):
-    reports, failures = _moment_cases(run.ou, (), (), run.cfg.max_degree)
-    return (not failures, "two- and four-point rel dev %s, %s"
-            % tuple(fmt6(rep.operator_vs_wick) for _, rep in reports))
-
-
-def _check_reflection_intertwining(run: _SuiteInputs):
+def _check_reflection_intertwining(run: _SuiteInputs) -> Check:
     rep = check_reflection_intertwining(run.ou, max_degree=2, shifts=(1, 2))
     broken = check_reflection_intertwining(run.ou, max_degree=2, shifts=(1,),
                                            break_reflection=True)
-    failures = []
-    _gate(failures, rep.intertwining_defect, RESIDUAL_TOL, "intertwining defect")
-    _gate(failures, rep.unitarity_defect, RESIDUAL_TOL, "unitarity defect")
-    return (not failures and rep.involution_defect == 0.0 and broken.intertwining_defect >= 0.1,
-            "defects %s / %s, broken control %s"
-            % (fmt6(rep.intertwining_defect), fmt6(rep.unitarity_defect),
-               fmt6(broken.intertwining_defect)))
+    check = Check()
+    for key in ("intertwining_defect", "unitarity_defect"):
+        value = getattr(rep, key)
+        check.gate(key, value, RESIDUAL_TOL,
+                   "%s %s exceeds %g" % (key, fmt6(value), RESIDUAL_TOL))
+    check.figures["involution_defect"] = rep.involution_defect
+    check.require(rep.involution_defect == 0.0, "the reflection is not an involution")
+    check.figures["broken_control_defect"] = broken.intertwining_defect
+    check.require(broken.intertwining_defect >= 0.1, "a broken reflection still intertwines")
+    return check
 
 
-def _check_cdual_involution(run: _SuiteInputs):
+def _check_cdual_involution(run: _SuiteInputs) -> Check:
     algebra, tau = liealg.builtin_algebra("sl2R-cartan")
-    *_, jac, double_res, su2_res, failures = _double_dual("sl2R-cartan", algebra, tau)
-    return (not failures,
-            "jacobi %s, double dual %s, compact match %s"
-            % (fmt6(jac), fmt6(double_res), fmt6(su2_res)))
+    _, check = _double_dual("sl2R-cartan", algebra, tau)
+    return check
 
 
-def _check_cone_hyperbolic(run: _SuiteInputs):
+def _check_cone_hyperbolic(run: _SuiteInputs) -> Check:
     c_split, c_cone = liealg.builtin_cone()
-    c_rep = liealg.hyperbolic_cone_check(c_split, c_cone, h_samples=8, seed=run.cfg.seed)
+    check = _cone(liealg.hyperbolic_cone_check(c_split, c_cone, h_samples=8, seed=run.cfg.seed))
     n_split, n_cone = liealg.nilpotent_control_cone()
     n_rep = liealg.hyperbolic_cone_check(n_split, n_cone, h_samples=2, seed=run.cfg.seed)
-    control_named = any("nilpotent" in pc.reason for pc in n_rep.point_checks)
-    return (not _cone_failures(c_rep) and not n_rep.all_hyperbolic and control_named,
-            "invariance residual %s; nilpotent control rejected: %s"
-            % (fmt6(c_rep.invariance_residual), "yes" if control_named else "no"))
+    check.require(not n_rep.all_hyperbolic and
+                  any("nilpotent" in pc.reason for pc in n_rep.point_checks),
+                  "the nilpotent control is not rejected as nilpotent")
+    return check
 
 
-def _check_semigroup_membership(run: _SuiteInputs):
-    mem, wedge, failures = _membership(run.cfg)
-    return (not failures and wedge.success_rate < 1.0,
-            "quadrant rate %s worst %s; wedge control rate %s"
-            % (fmt6(mem.success_rate), fmt6(mem.worst_residual), fmt6(wedge.success_rate)))
+def _check_semigroup_membership(run: _SuiteInputs) -> Check:
+    check = _membership(run.cfg)
+    check.require(check.figures["wedge_control_rate"] < 1.0, "the wedge control always re-factors")
+    return check
 
 
-def _check_commutant_dimension(run: _SuiteInputs):
+def _check_commutant_dimension(run: _SuiteInputs) -> Check:
     H, E, F = liealg.SL2_H, liealg.SL2_E, liealg.SL2_F
-    cases = (
-        ([H, E, F], 1),
-        ([H], 2),
-        ([np.eye(2)], 4),
-        ([np.diag([1.0, 2.0, 3.0])], 3),
-    )
-    got = [liealg.commutant_dimension(mats) for mats, _ in cases]
-    return (all(g == want for g, (_, want) in zip(got, cases)),
-            "dimensions %s" % " ".join(str(g) for g in got))
+    cases = (("sl2", [H, E, F], 1), ("cartan", [H], 2), ("identity", [np.eye(2)], 4),
+             ("diagonal", [np.diag([1.0, 2.0, 3.0])], 3))
+    check = Check()
+    for name, mats, want in cases:
+        got = check.figures["%s_commutant_dim" % name] = liealg.commutant_dimension(mats)
+        check.require(got == want, "%s commutant has dimension %d, not %d" % (name, got, want))
+    return check
 
 
-# every suite check, in report order; each returns (passed, detail)
+# every suite check, in report order; each returns its Check
 SUITE_CHECKS = {
     "covariance-psd": _check_covariance_psd,
     "stationarity-reflection": _check_stationarity_reflection,
-    "pd-certificates": lambda run: _family_verdict(run.families[0]),
-    "rp-certificates": lambda run: _family_verdict(run.families[1]),
-    "non-rp-control": _control_check("non-rp", "cosine kernel"),
-    "corrupted-control": _control_check("corrupted", "corrupted functional"),
+    "pd-certificates": lambda run: _family_check(run.families[0]),
+    "rp-certificates": lambda run: _family_check(run.families[1]),
+    "non-rp-control": lambda run: _control_check(run, "non-rp"),
+    "corrupted-control": lambda run: _control_check(run, "corrupted"),
     "sampled-rp": _check_sampled_rp,
     "reconstruction-spectrum": _check_reconstruction_spectrum,
-    "contraction-semigroup": _check_contraction_semigroup,
+    "contraction-semigroup": lambda run: _semigroup(run.transfer, ((1, 1), (1, 2), (2, 2))),
     "npoint-identity": _check_npoint_identity,
     "reflection-intertwining": _check_reflection_intertwining,
     "cdual-involution": _check_cdual_involution,
@@ -855,19 +860,16 @@ SUITE_CHECKS = {
 
 
 def _suite_results(cfg: RunConfig):
-    """Run every suite check; returns [(name, passed, detail)] in fixed order.
-
-    A check that raises a CheckFailure fails with the error in its detail,
-    and the other checks still run.
-    """
+    """[(name, Check)] of every suite check in order; a check that raises a
+    CheckFailure fails with the error as its failure line, and the others run."""
     run = _SuiteInputs(cfg)
     results = []
     for name, check in SUITE_CHECKS.items():
         try:
-            passed, detail = check(run)
+            result = check(run)
         except CheckFailure as exc:
-            passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
-        results.append((name, passed, detail))
+            result = Check(failures=["%s: %s" % (type(exc).__name__, exc)])
+        results.append((name, result))
     return results
 
 
@@ -891,23 +893,16 @@ def cmd_suite(cfg: RunConfig, quiet: bool = False, config_note: str = "built-in 
             % (SUITE_MAX_STEPS, cfg.n_points, next(fits, "none up to 4096")))
     results = _suite_results(cfg)
 
-    n_failed = sum(1 for _, passed, _ in results if not passed)
-    lines = ["format: oslab-suite v1"]
-    lines.append("config: %s" % config_note)
+    lines = ["format: oslab-suite v1", "config: %s" % config_note]
     lines += _config_lines(cfg, ("n_points", "spacing", "mass", "seed"))
-    for name, passed, detail in results:
-        status = "PASS" if passed else "FAIL"
-        lines.append("check %s: %s (%s)" % (name, status, detail))
-        _say(quiet, "suite %s: %s (%s)" % (name, status, detail))
-    lines.append("failed: %d/%d" % (n_failed, len(results)))
-    lines.append("verdict: %s" % ("pass" if n_failed == 0 else "fail"))
-    lines.append("")
-
-    path = os.path.join(cfg.out_dir(), "suite_summary.txt")
-    atomic_write(path, "\n".join(lines))
-    _say(quiet, "suite: %s (%d/%d failed), summary in %s"
-         % ("PASS" if n_failed == 0 else "FAIL", n_failed, len(results), path))
-    return EXIT_OK if n_failed == 0 else EXIT_CHECK_FAILED
+    failed = Check()
+    for name, result in results:
+        line = "%s: %s (%s)" % (name, "PASS" if not result.failures else "FAIL", result.summary())
+        lines.append("check " + line)
+        _say(quiet, "suite " + line)
+        failed.failures += ["%s: %s" % (name, f) for f in result.failures]
+    lines.append("failed: %d/%d" % (sum(bool(r.failures) for _, r in results), len(results)))
+    return _finish(cfg, quiet, "suite", "suite_summary.txt", lines, failed)
 
 
 # -- argument parsing ---------------------------------------------------------

@@ -269,7 +269,7 @@ class GaussianEuclideanMeasure:
             return
         w = self.eigenvalues
         lam_min, lam_max = float(w[0]), float(w[-1])
-        if lam_min < -PSD_RTOL * max(lam_max, abs(lam_min)):
+        if not lam_min >= -PSD_RTOL * max(lam_max, abs(lam_min)):
             raise CovarianceError(
                 "covariance is not positive semidefinite: min eigenvalue %.6e" % lam_min
             )

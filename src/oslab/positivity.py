@@ -136,6 +136,9 @@ def _certify(
         raise HermiticityError(
             "gram asymmetry %.3e exceeds %.1e relative" % (asym, HERMITICITY_RTOL)
         )
+    if not np.all(np.isfinite(gram)):
+        # an overflowed entry makes the asymmetry and its scale both inf, which the gate passes
+        raise CheckFailure("gram has a non-finite entry: the generating functional overflowed")
     H = 0.5 * (gram + gram.conj().T)
     w, V = np.linalg.eigh(H)
     min_eig = float(w[0])

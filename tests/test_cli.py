@@ -478,7 +478,7 @@ NAN_RESIDUALS = {
                          ids=list(NAN_RESIDUALS))
 def test_nan_residual_fails_the_report(tmp_path, monkeypatch, command, target, name, field,
                                        call):
-    # every report gate is _gate, which fails unless residual <= tol, so a
+    # every report gate is Check.gate, which fails unless residual <= tol, so a
     # NaN residual fails; the gates inside _ladder and _double_dual get NaN
     # at their input: a NaN spectrum, and a NaN structure from the second
     # c_dual call (the dual of the dual)
@@ -563,14 +563,25 @@ def test_suite_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("name", SUITE_CHECKS)
 def test_suite_injected_failure_is_loud(tmp_path, monkeypatch, name):
-    monkeypatch.setitem(SUITE_CHECKS, name, lambda _: (False, "injected failure (diagnostic)"))
+    # a check fails exactly when its record has a failure line, and that
+    # line reaches the check's summary line and the report's failure lines
+    injected = cli.Check({"figure": 0.5}, ["injected failure (diagnostic)"])
+    monkeypatch.setitem(SUITE_CHECKS, name, lambda _: injected)
     rc, out = run(tmp_path, "suite")
     assert rc == EXIT_CHECK_FAILED
     text = (out / "suite_summary.txt").read_text()
     failed = [line for line in text.splitlines() if ": FAIL" in line]
-    assert failed == ["check %s: FAIL (injected failure (diagnostic))" % name]
+    assert failed == ["check %s: FAIL (figure 0.5; injected failure (diagnostic))" % name]
     assert "failed: 1/%d" % len(SUITE_CHECKS) in text
-    assert "verdict: fail" in text
+    assert text.endswith("verdict: fail\nfailure: %s: injected failure (diagnostic)\n" % name)
+
+
+def test_every_suite_check_returns_the_record(tmp_path):
+    results = cli._suite_results(cli.load_config(None, {}))
+    assert [name for name, _ in results] == list(SUITE_CHECKS)
+    for name, result in results:
+        assert isinstance(result, cli.Check), name
+        assert result.figures and result.failures == [], name
 
 
 def _fields(path):
@@ -583,16 +594,27 @@ def _fields(path):
     return fields
 
 
-def _suite_numbers(text, name):
-    """The numbers in a suite check's detail, in order."""
+def _suite_figures(text, name):
+    """A suite check's named figures, key -> six-digit text, in order."""
     line = next(l for l in text.splitlines() if l.startswith("check %s:" % name))
-    detail = line.split(" (", 1)[1]
-    return [float(tok) for tok in re.findall(r"-?\d+(?:\.\d+)?(?:e[-+]\d+)?", detail)]
+    figures = line.split(" (", 1)[1].rstrip(")").split("; ")[0]
+    return dict(item.rsplit(" ", 1) for item in figures.split(", "))
+
+
+def _worst_relative_min_eig(report):
+    """kind -> the least min_eigenvalue / norm over an rp-check report's
+    certificate sections of that kind ("pd" or "rp")."""
+    worst = {"pd": np.inf, "rp": np.inf}
+    for section in report.read_text().split("\n[")[1:]:
+        cert = dict(l.split(": ", 1) for l in section.splitlines()[1:] if ": " in l)
+        kind = section.split()[0]
+        worst[kind] = min(worst[kind], float(cert["min_eigenvalue"]) / float(cert["norm"]))
+    return worst
 
 
 def test_suite_agrees_with_subcommands(tmp_path):
     # suite and the subcommands share their check code, so with one config
-    # the suite's six-digit details equal the subcommands' reported figures
+    # each suite figure equals the subcommand's report figure of its key
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_points: 24\nmass: 0.8\nseed: 5\nfamilies: 3\nfamily_size: 4\n")
     args = ("--config", str(cfg))
@@ -600,84 +622,67 @@ def test_suite_agrees_with_subcommands(tmp_path):
     text = (suite / "suite_summary.txt").read_text()
     assert "verdict: pass" in text
 
-    def same(suite_value, report_value):
-        assert suite_value == pytest.approx(float(report_value), rel=1e-5, abs=0.0)
+    def same(name, command):
+        report = tmp_path / command / ("%s_report.txt" % command.replace("-", "_"))
+        assert run(tmp_path, command, *args, sub=command)[0] == EXIT_OK
+        fields = _fields(report)
+        figures = _suite_figures(text, name)
+        for key, value in figures.items():
+            assert float(value) == pytest.approx(float(fields[key]), rel=1e-5, abs=0.0), key
+        return figures
 
-    assert run(tmp_path, "reconstruct", *args, sub="rec")[0] == EXIT_OK
-    rec = _fields(tmp_path / "rec" / "reconstruct_report.txt")
-    gap_dev, vacuum = _suite_numbers(text, "reconstruction-spectrum")
-    same(gap_dev, rec["gap_deviation"])
-    same(vacuum, rec["vacuum_energy_norm"])
+    assert list(same("reconstruction-spectrum", "reconstruct")) == [
+        "gap_deviation", "vacuum_energy_norm"]
+    assert len(same("cdual-involution", "cdual")) == 3
+    assert list(same("cone-hyperbolic", "cone-check")) == ["invariance_residual"]
+    assert len(same("semigroup-membership", "cone-check")) == 5
 
     assert run(tmp_path, "rp-check", *args, sub="rp")[0] == EXIT_OK
-    sections = (tmp_path / "rp" / "rp_check_report.txt").read_text().split("\n[")[1:]
-    worst = {"pd": np.inf, "rp": np.inf}
-    for section in sections:
-        label = section.split("]", 1)[0]
-        cert = dict(l.split(": ", 1) for l in section.splitlines()[1:] if ": " in l)
-        kind = label.split()[0]
-        worst[kind] = min(worst[kind], float(cert["min_eigenvalue"]) / float(cert["norm"]))
-    assert len(sections) == 6
+    report = tmp_path / "rp" / "rp_check_report.txt"
+    assert _fields(report)["certificates"] == "6"
+    worst = _worst_relative_min_eig(report)
     for kind in ("pd", "rp"):
-        families, relative = _suite_numbers(text, "%s-certificates" % kind)
-        assert families == 3
-        same(relative, worst[kind])
-
-    assert run(tmp_path, "cdual", *args, sub="cdual")[0] == EXIT_OK
-    cdual = _fields(tmp_path / "cdual" / "cdual_report.txt")
-    jacobi, double, compact = _suite_numbers(text, "cdual-involution")
-    same(jacobi, cdual["dual_jacobi_residual"])
-    same(double, cdual["double_dual_residual"])
-    same(compact, cdual["su2_match_residual"])
-
-    assert run(tmp_path, "cone-check", *args, sub="cone")[0] == EXIT_OK
-    cone = _fields(tmp_path / "cone" / "cone_check_report.txt")
-    same(_suite_numbers(text, "cone-hyperbolic")[0], cone["invariance_residual"])
-    rate, worst_residual, wedge = _suite_numbers(text, "semigroup-membership")
-    same(rate, cone["membership_rate"])
-    same(worst_residual, cone["membership_worst_residual"])
-    same(wedge, cone["wedge_control_rate"])
+        figures = _suite_figures(text, "%s-certificates" % kind)
+        assert figures["certificates"] == "3"
+        assert float(figures["worst_min_eig_over_norm"]) == pytest.approx(worst[kind], rel=1e-5)
 
 
 def test_suite_figures_equal_the_subcommands_at_default_config(tmp_path):
     # each suite check that mirrors a subcommand calls that subcommand's
-    # function, so at the default config its figures equal the report's at
-    # six digits
+    # function, so at the default config each of its figures equals the
+    # report's figure of the same key at six digits
     _, suite = run(tmp_path, "suite", sub="suite")
     text = (suite / "suite_summary.txt").read_text()
-
-    def figures(name):
-        return [fmt6(x) for x in _suite_numbers(text, name)]
 
     def report(command, *args):
         assert run(tmp_path, command, *args, sub=command)[0] == EXIT_OK
         return tmp_path / command / ("%s_report.txt" % command.replace("-", "_"))
 
-    rec = _fields(report("reconstruct"))
-    assert figures("reconstruction-spectrum") == [
-        fmt6(float(rec[k])) for k in ("gap_deviation", "vacuum_energy_norm")]
+    def agree(name, fields, keys):
+        figures = _suite_figures(text, name)
+        assert list(figures) == keys
+        assert figures == {k: fmt6(float(fields[k])) for k in keys}
 
-    rel_devs = [line.split(": ")[1] for line in report("npoint").read_text().splitlines()
-                if line.startswith("  rel_dev: ")]
-    assert figures("npoint-identity") == [fmt6(float(v)) for v in rel_devs]
-
-    cdual = _fields(report("cdual", "sl2R-cartan"))
-    assert figures("cdual-involution") == [fmt6(float(cdual[k])) for k in (
-        "dual_jacobi_residual", "double_dual_residual", "su2_match_residual")]
-
+    agree("reconstruction-spectrum", _fields(report("reconstruct")),
+          ["gap_deviation", "vacuum_energy_norm"])
+    agree("cdual-involution", _fields(report("cdual", "sl2R-cartan")),
+          ["dual_jacobi_residual", "double_dual_residual", "su2_match_residual"])
     cone = _fields(report("cone-check"))
-    assert figures("cone-hyperbolic") == [fmt6(float(cone["invariance_residual"]))]
-    assert figures("semigroup-membership") == [fmt6(float(cone[k])) for k in (
-        "membership_rate", "membership_worst_residual", "wedge_control_rate")]
+    agree("cone-hyperbolic", cone, ["invariance_residual"])
+    agree("semigroup-membership", cone, ["membership_products", "membership_rate",
+                                         "membership_worst_residual", "wedge_control_rate",
+                                         "wedge_control_failures"])
 
-    sections = report("rp-check", "--instance", "ou").read_text().split("\n[")[1:]
-    worst = {"pd": np.inf, "rp": np.inf}
-    for section in sections:
-        kind = section.split()[0]
-        cert = dict(l.split(": ", 1) for l in section.splitlines()[1:] if ": " in l)
-        worst[kind] = min(worst[kind], float(cert["min_eigenvalue"]) / float(cert["norm"]))
+    npoint = report("npoint").read_text()
+    cases = re.findall(r"^(q\S+):\n(?:  .*\n)*?  rel_dev: (\S+)$", npoint, re.M)
+    assert len(cases) == 2
+    agree("npoint-identity", {"%s rel_dev" % label: v for label, v in cases},
+          ["%s rel_dev" % label for label, _ in cases])
+
+    worst = _worst_relative_min_eig(report("rp-check", "--instance", "ou"))
     for kind in ("pd", "rp"):
-        assert figures("%s-certificates" % kind) == ["8", fmt6(worst[kind])]
+        assert _suite_figures(text, "%s-certificates" % kind) == {
+            "certificates": "8", "indefinite": "0", "worst_min_eig_over_norm": fmt6(worst[kind])}
 
 
 def test_nan_transfer_fails_contraction_semigroup(tmp_path, monkeypatch):
@@ -694,8 +699,8 @@ def test_nan_transfer_fails_contraction_semigroup(tmp_path, monkeypatch):
     assert rc == EXIT_CHECK_FAILED
     failed = [line for line in (out / "suite_summary.txt").read_text().splitlines()
               if ": FAIL" in line]
-    assert failed == ["check contraction-semigroup: FAIL "
-                      "(worst norm excess 0, semigroup residual nan)"]
+    assert failed == ["check contraction-semigroup: FAIL (transfer_norm 1, semigroup_residual nan; "
+                      "semigroup residual nan exceeds 1e-08)"]
 
 
 # the exit code of every exported error class, plus ConfigError and a plain
@@ -759,6 +764,67 @@ def test_suite_check_that_raises_fails_alone(tmp_path):
     assert "check cdual-involution: PASS (" in text
     assert "failed: 2/15" in text
     assert "verdict: fail" in text
+
+
+OVERFLOW = "gram has a non-finite entry: the generating functional overflowed"
+
+
+def test_overflowing_pd_gram_fails_rp_check(tmp_path, capsys):
+    # at this mass the pd gram's entries overflow to inf; the certificate
+    # refuses them (exit 1) instead of reaching an eigensolver that does not
+    # converge (exit 2).  The measure is positive definite, so this is still
+    # a false failure until the gram is built in the log domain.
+    cfg = tmp_path / "tiny-mass.cfg"
+    cfg.write_text("mass: 1e-3\n")
+    rc, _ = run(tmp_path, "rp-check", "--config", str(cfg))
+    assert rc == EXIT_CHECK_FAILED
+    assert "check failed: %s\n" % OVERFLOW in capsys.readouterr().err
+
+
+def test_overflowing_pd_gram_leaves_the_suite_running(tmp_path):
+    cfg = tmp_path / "tiny-mass.cfg"
+    cfg.write_text("mass: 1e-3\n")
+    rc, out = run(tmp_path, "suite", "--config", str(cfg))
+    assert rc == EXIT_CHECK_FAILED
+    checks = [line for line in (out / "suite_summary.txt").read_text().splitlines()
+              if line.startswith("check ")]
+    assert len(checks) == len(SUITE_CHECKS)
+    for kind in ("pd", "rp"):
+        assert "check %s-certificates: FAIL (CheckFailure: %s)" % (kind, OVERFLOW) in checks
+    assert any(line.startswith("check cdual-involution: PASS (") for line in checks)
+
+
+# command -> (argv of a failing run, None or (module, function, field, call)
+# whose result goes NaN as in _with_nan)
+FAILING_RUNS = {
+    "rp-check": (("rp-check", "--instance", "non-rp"), None),
+    "reconstruct": (("reconstruct",), (cli, "extract_hamiltonian", "spectrum", None)),
+    "npoint": (("npoint",), (cli, "verify_npoint_identity", "lhs_operator", None)),
+    "cdual": (("cdual",), (liealg, "c_dual", "structure", 1)),
+    "cone-check": (("cone-check", "nilpotent-control"), None),
+    "suite": (("suite",), (cli, "extract_hamiltonian", "spectrum", None)),
+}
+
+
+@pytest.mark.parametrize("failing", [False, True], ids=["pass", "fail"])
+@pytest.mark.parametrize("command", FAILING_RUNS)
+def test_exit_code_verdict_failure_lines_and_stdout_agree(tmp_path, monkeypatch, capsys,
+                                                          command, failing):
+    # one function closes every report, so on every run the exit code, the
+    # verdict line, the failure: lines and the last stdout line agree
+    argv, fault = FAILING_RUNS[command] if failing else ((command,), None)
+    if fault is not None:
+        target, name, field, call = fault
+        monkeypatch.setattr(target, name, _with_nan(target, name, field, call))
+    out = tmp_path / "out"
+    rc = main([*argv, "--out", str(out)])
+    name = "suite_summary.txt" if command == "suite" else "%s_report.txt" % command.replace("-", "_")
+    report = (out / name).read_text().splitlines()
+    assert rc == (EXIT_CHECK_FAILED if failing else EXIT_OK)
+    assert ("verdict: fail" if failing else "verdict: pass") in report
+    assert any(line.startswith("failure: ") for line in report) == failing
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "%s: %s" % (command, "FAIL" if failing else "PASS"))
 
 
 @pytest.mark.parametrize("n_points, rc", [(8, EXIT_USAGE), (12, EXIT_USAGE), (14, EXIT_OK)])

@@ -3,7 +3,7 @@
 Each row puts one NaN at a gate's input and asserts that gate's outcome:
 its CheckFailure subclass where it raises one, else the failure it
 records.  Written x > tol, every gate here let the NaN through; a scan of
-the package source refuses any comparison written x > *TOL.
+the package source refuses any comparison written x > *TOL or x < -*TOL.
 """
 import ast
 import pathlib
@@ -159,14 +159,15 @@ TOLERANCE_NAME = re.compile(r"[A-Z][A-Z0-9_]*TOL\Z")
 
 
 def _greater_than_tolerance(path: pathlib.Path) -> list:
-    """'file:line' of each comparison x > y in the file whose right side y
-    names an upper-case *TOL constant: a gate that NaN passes."""
+    """'file:line' of each comparison x > y or x < y in the file whose right
+    side y names an upper-case *TOL constant: a failure test beyond a bound,
+    above or below, that NaN passes."""
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Compare):
             for op, right in zip(node.ops, node.comparators):
                 names = {n.id for n in ast.walk(right) if isinstance(n, ast.Name)}
-                if isinstance(op, ast.Gt) and any(map(TOLERANCE_NAME.match, names)):
+                if isinstance(op, (ast.Gt, ast.Lt)) and any(map(TOLERANCE_NAME.match, names)):
                     found.append("%s:%d" % (path.name, node.lineno))
     return found
 
