@@ -204,11 +204,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     return cfg
 
 
-def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional):
-    """Labelled certificates over the seeded random families: cfg.families
-    pd certificates over complex functions, then as many rp certificates
-    over real D+ functions, all drawn from one generator seeded with
-    cfg.seed; [(label, certificate)] for each kind."""
+def _families(cfg: RunConfig, lattice: TimeLattice) -> dict:
+    """The seeded random families, {kind: [(label, family)]}: cfg.families
+    pd families of complex functions, then as many rp families of real D+
+    functions, all drawn from one generator seeded with cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
     n, pos = lattice.n_points, lattice.positive_indices
 
@@ -220,15 +219,24 @@ def _family_certificates(cfg: RunConfig, lattice: TimeLattice, functional):
         c[pos] = 0.5 * rng.standard_normal(len(pos))
         return c
 
-    runs = []
-    for kind, certify, draw in (("pd", pd_gram_certificate, complex_coeffs),
-                                ("rp", rp_gram_certificate, dplus_coeffs)):
-        runs.append([])
+    families = {}
+    for kind, draw in (("pd", complex_coeffs), ("rp", dplus_coeffs)):
+        families[kind] = []
         for i in range(cfg.families):
             size = int(rng.integers(1, cfg.family_size + 1))
             family = [TestFunction(lattice, draw()) for _ in range(size)]
-            runs[-1].append(("%s family %d" % (kind, i), certify(functional, family)))
-    return runs
+            families[kind].append(("%s family %d" % (kind, i), family))
+    return families
+
+
+# the certificate each family kind is checked by
+FAMILY_CERTIFICATES = {"pd": pd_gram_certificate, "rp": rp_gram_certificate}
+
+
+def _family_certificates(families: dict, kind: str, functional) -> list:
+    """[(label, certificate)] over the families of `kind`."""
+    certify = FAMILY_CERTIFICATES[kind]
+    return [(label, certify(functional, family)) for label, family in families[kind]]
 
 
 def _certificates(runs) -> Check:
@@ -369,7 +377,8 @@ def cmd_rp_check(cfg: RunConfig, quiet: bool = False) -> int:
     inst = INSTANCES[cfg.instance]
     measure = inst.build(cfg, TimeLattice(cfg.n_points, cfg.spacing))
     functional, control = _control(inst, measure)
-    pd_runs, rp_runs = _family_certificates(cfg, measure.lattice, functional)
+    families = _families(cfg, measure.lattice)
+    pd_runs, rp_runs = (_family_certificates(families, kind, functional) for kind in ("pd", "rp"))
     if control is not None:  # it leads the certificates of its kind
         (pd_runs if control[1].kind == KIND_PD else rp_runs).insert(0, control)
     runs = pd_runs + rp_runs
@@ -715,7 +724,7 @@ class _SuiteInputs:
 
     @cached_property
     def families(self):
-        return _family_certificates(self.cfg, self.lattice, self.ou.generating_functional)
+        return _families(self.cfg, self.lattice)
 
     @cached_property
     def space(self):
@@ -750,8 +759,9 @@ def _check_stationarity_reflection(run: _SuiteInputs) -> Check:
     return check
 
 
-def _family_check(runs) -> Check:
-    """Every family certificate of one kind is positive."""
+def _family_check(run: _SuiteInputs, kind: str) -> Check:
+    """Every seeded family of `kind` certifies positive on OU."""
+    runs = _family_certificates(run.families, kind, run.ou.generating_functional)
     check = _certificates(runs)
     check.figures["worst_min_eig_over_norm"] = min(c.min_eigenvalue / c.norm for _, c in runs)
     return check
@@ -843,8 +853,8 @@ def _check_commutant_dimension(run: _SuiteInputs) -> Check:
 SUITE_CHECKS = {
     "covariance-psd": _check_covariance_psd,
     "stationarity-reflection": _check_stationarity_reflection,
-    "pd-certificates": lambda run: _family_check(run.families[0]),
-    "rp-certificates": lambda run: _family_check(run.families[1]),
+    "pd-certificates": lambda run: _family_check(run, "pd"),
+    "rp-certificates": lambda run: _family_check(run, "rp"),
     "non-rp-control": lambda run: _control_check(run, "non-rp"),
     "corrupted-control": lambda run: _control_check(run, "corrupted"),
     "sampled-rp": _check_sampled_rp,

@@ -30,12 +30,18 @@ covariance of the smeared fields q(f) = spacing * sum_j f_j q(t_j).  A
 whole gram of values S(a_k - b_l) therefore follows from one product of
 the stacked coefficients with C (generating_functional_gram).
 
-Sampling uses a Philox counter-based generator keyed by the seed.  Each
-standard normal consumes exactly one 64-bit draw (uniform bits mapped
-through the inverse normal CDF), and the draw for path j, site k sits at
-counter slot j*n + k.  Any block of paths can therefore be regenerated
-independently of batching, and results do not depend on how a caller
-chooses to parallelize over paths.
+Sampling draws count x n standard normals, row-major (path j, site k is
+entry j*n + k), in fixed blocks of NORMAL_BLOCK entries.  Block b comes
+from its own Philox generator, keyed by the seed with counter (0, b, 0, 0),
+through numpy's ziggurat (Generator.standard_normal).  The ziggurat uses a
+variable number of raw draws per normal, so the blocks are spaced 2^64
+counter steps apart rather than packed: block b drawn alone equals those
+entries of the full draw, and no result depends on how the normals are
+batched.  The paths are the normals times a factor L with L L^T = C.  For
+Ornstein-Uhlenbeck, a Markov process, L is C's Cholesky factor applied as
+the exact AR(1) recursion, O(n) per path; every other kernel uses a
+symmetric factor from C's eigendecomposition, which also samples a
+rank-deficient covariance on its support.
 
 Every measure proves its covariance positive semidefinite when it is built,
 in the sense lambda_min(C) >= -PSD_RTOL * max_i C_ii, with one
@@ -47,7 +53,7 @@ compute its eigvalsh spectrum to decide, and to word the failure; otherwise
 the spectrum (eigenvalues) is computed on first read.
 
 Each measure memoizes its draws in sample_memo, keyed by (count, seed):
-the covariance factor is built and the normals are drawn once per key, and
+the normals are drawn and the factor is applied once per key, and
 every later request gets the same read-only array back.  Callers that need
 to change paths copy them first.  A Monte Carlo estimate from such paths is
 gated at SIGMA_TOL standard errors wherever one is checked.
@@ -233,6 +239,10 @@ class GaussianEuclideanMeasure:
     C is refused when lambda_min < -PSD_RTOL * max(lambda_max, |lambda_min|).
     eigenvalues, the ascending eigvalsh spectrum, is read-only and computed
     at most once, on first read.
+
+    kernel names the covariance's family.  KERNEL_OU states that C is
+    exp(-m|t-s|)/(2m) with m = mass, as ou_covariance builds it, and
+    sample_path_matrix relies on that to draw by the AR(1) recursion.
     """
 
     lattice: TimeLattice
@@ -429,7 +439,8 @@ def generating_functional_gram(
     h = measure.lattice.spacing
     M = h * h * (PC @ P.T)
     d = np.diagonal(M)
-    return np.exp(M[:K, K:] - 0.5 * d[:K, None] - 0.5 * d[None, K:])
+    with np.errstate(over="ignore"):  # an overflowed entry is inf, refused by the certificate
+        return np.exp(M[:K, K:] - 0.5 * d[:K, None] - 0.5 * d[None, K:])
 
 
 def _covariance_factor(measure: GaussianEuclideanMeasure) -> np.ndarray:
@@ -450,16 +461,43 @@ def _covariance_factor(measure: GaussianEuclideanMeasure) -> np.ndarray:
     return V * np.sqrt(w)[None, :]
 
 
-def _standard_normal(seed: int, count: int, width: int) -> np.ndarray:
-    # One uint64 per variate: uniform in (0,1) on a 2^-53 grid, then the
-    # inverse normal CDF.  Counter-stable: entry (j, k) always consumes
-    # Philox draw number j*width + k for a given seed.
-    from scipy.special import ndtri  # scipy loads on the first draw only
+def _ou_paths(Z: np.ndarray, mass: float, spacing: float) -> np.ndarray:
+    """Z L^T for the Cholesky factor L of the OU covariance, in O(n) per row.
 
-    gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    raw = gen.integers(0, 1 << 53, size=(count, width), dtype=np.int64)
-    u = (raw.astype(float) + 0.5) * 2.0**-53
-    return ndtri(u)
+    Each row z of Z becomes the path x_0 = sigma z_0, x_k = rho x_{k-1} +
+    sigma sqrt(1 - rho^2) z_k, with sigma^2 = 1/(2m) and rho = exp(-m h):
+    the exact AR(1) law of the process sampled every h.  1 - rho^2 is
+    -expm1(-2mh), which keeps its digits as mh -> 0.  The recursion runs
+    over the sites of a transposed copy, so each step is one contiguous
+    row; the result is its (count, n) transpose.
+    """
+    sigma = np.sqrt(0.5 / mass)
+    rho = np.exp(-mass * spacing)
+    X = Z.T.copy()
+    X[0] *= sigma
+    X[1:] *= sigma * np.sqrt(-np.expm1(-2.0 * mass * spacing))
+    for k in range(1, X.shape[0]):
+        X[k] += rho * X[k - 1]
+    return X.T
+
+
+# standard normals per Philox block of a draw
+NORMAL_BLOCK = 65536
+
+
+def _normal_block(seed: int, b: int) -> np.random.Generator:
+    """The generator of block b of the seed's normals."""
+    return np.random.Generator(np.random.Philox(key=int(seed), counter=[0, b, 0, 0]))
+
+
+def _standard_normal(seed: int, count: int, width: int) -> np.ndarray:
+    """count x width standard normals, row-major in blocks of NORMAL_BLOCK,
+    block b drawn by _normal_block(seed, b)."""
+    Z = np.empty((count, width))
+    flat = Z.reshape(-1)
+    for b, start in enumerate(range(0, flat.size, NORMAL_BLOCK)):
+        _normal_block(seed, b).standard_normal(out=flat[start:start + NORMAL_BLOCK])
+    return Z
 
 
 # bound on a Monte Carlo estimate's deviation, in its standard errors
@@ -480,9 +518,11 @@ def sample_path_matrix(
     key = (int(count), int(seed))
     paths = measure.sample_memo.get(key)
     if paths is None:
-        L = _covariance_factor(measure)
         Z = _standard_normal(seed, count, measure.lattice.n_points)
-        paths = Z @ L.T
+        if measure.kernel == KERNEL_OU:
+            paths = _ou_paths(Z, measure.mass, measure.lattice.spacing)
+        else:
+            paths = Z @ _covariance_factor(measure).T
         paths.setflags(write=False)
         measure.sample_memo[key] = paths
     return paths

@@ -131,7 +131,8 @@ def _certify(
 ) -> PsdCertificate:
     gram = np.asarray(gram)
     scale = float(np.max(np.abs(gram))) or 1.0
-    asym = float(np.max(np.abs(gram - gram.conj().T)))
+    with np.errstate(invalid="ignore"):  # inf - inf in an overflowed gram, refused below
+        asym = float(np.max(np.abs(gram - gram.conj().T)))
     if not asym <= HERMITICITY_RTOL * scale and n_samples == 0:
         raise HermiticityError(
             "gram asymmetry %.3e exceeds %.1e relative" % (asym, HERMITICITY_RTOL)

@@ -1,6 +1,7 @@
 """Grid, kernels, generating functional, sampling."""
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
@@ -297,8 +298,8 @@ def test_sample_memo_returns_the_same_read_only_array():
 def test_sample_memo_draws_anew_for_a_new_key(monkeypatch):
     m = ou_covariance(1.0, TimeLattice(16, 0.25))
     calls = []
-    factor = lattice._covariance_factor
-    monkeypatch.setattr(lattice, "_covariance_factor", lambda meas: calls.append(1) or factor(meas))
+    draw = lattice._standard_normal
+    monkeypatch.setattr(lattice, "_standard_normal", lambda *a: calls.append(1) or draw(*a))
     a = sample_path_matrix(m, 64, seed=SEED)
     b = sample_path_matrix(m, 64, seed=SEED + 1)
     c = sample_path_matrix(m, 32, seed=SEED)
@@ -319,15 +320,60 @@ def test_sample_memo_hit_equals_a_fresh_draw(half, count, seed):
     assert np.array_equal(hit, fresh)
 
 
-def test_empirical_covariance_converges():
-    lat = TimeLattice(8, 0.5)
-    m = ou_covariance(1.0, lat)
+def test_normal_block_drawn_alone_equals_its_entries_of_the_full_draw():
+    # 150 x 1024 normals fill two blocks and part of a third
+    full = lattice._standard_normal(SEED, 150, 1024).reshape(-1)
+    size = lattice.NORMAL_BLOCK
+    for b in range(3):
+        entries = full[b * size:(b + 1) * size]
+        alone = lattice._normal_block(SEED, b).standard_normal(len(entries))
+        assert np.array_equal(alone, entries)
+    # fewer paths are a prefix of the same draw, and so are their OU paths
+    assert np.array_equal(lattice._standard_normal(SEED, 70, 1024).reshape(-1), full[:70 * 1024])
+    m = ou_covariance(0.8, TimeLattice(1024, 0.25))
+    assert np.array_equal(sample_path_matrix(m, 70, SEED), sample_path_matrix(m, 150, SEED)[:70])
+
+
+@pytest.mark.parametrize("n", [2, 16, 128, 1024])
+@pytest.mark.parametrize("mh", [1.0e-7, 1.0e-4, 1.0e-2, 0.25, 1.0, 10.0])
+def test_ou_recursion_factor_reproduces_the_covariance(n, mh):
+    # rows of the identity give the rows of L^T; the bound is about n*u at n 1024
+    spacing = 0.25
+    m = ou_covariance(mh / spacing, TimeLattice(n, spacing))
+    Lt = lattice._ou_paths(np.eye(n), m.mass, spacing)
+    C = m.covariance
+    assert np.max(np.abs(Lt.T @ Lt - C)) <= 1.0e-12 * np.max(C)
+    # the diagonal, sigma then sigma sqrt(1 - rho^2), to a few ulps: 1 - rho^2
+    # formed by subtraction would lose about 7 digits at mh 1e-7
+    mass = mpmath.mpf(m.mass)
+    sigma = mpmath.sqrt(1 / (2 * mass))
+    innovation = sigma * mpmath.sqrt(-mpmath.expm1(-2 * mass * mpmath.mpf(spacing)))
+    want = np.array([float(sigma)] + [float(innovation)] * (n - 1))
+    assert np.max(np.abs(np.diag(Lt) / want - 1.0)) <= 1.0e-15
+
+
+def _assert_empirical_covariance_converges(m):
     paths = sample_path_matrix(m, 40000, seed=SEED)
     emp = oracles.empirical_covariance(paths)
     # entry variance for Gaussians: (C_ii C_jj + C_ij^2)/N
     se = np.sqrt((np.outer(np.diag(m.covariance), np.diag(m.covariance))
                   + m.covariance**2) / 40000.0)
     assert np.all(np.abs(emp - m.covariance) < 4.0 * se + 1.0e-12)
+
+
+def test_empirical_covariance_converges():
+    _assert_empirical_covariance_converges(ou_covariance(1.0, TimeLattice(8, 0.5)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda lat: free_field_covariance(1.0, lat),
+    lambda lat: cosine_damped_covariance(1.0, 3.0, lat),
+], ids=["free-field", "cosine-damped"])
+def test_other_kernels_sample_through_the_eigendecomposition(build):
+    m = build(TimeLattice(8, 0.5))
+    L = lattice._covariance_factor(m)
+    assert np.max(np.abs(L @ L.T - m.covariance)) <= 1.0e-12 * np.max(np.abs(m.covariance))
+    _assert_empirical_covariance_converges(m)
 
 
 def test_test_function_flags_and_arithmetic():
